@@ -66,22 +66,21 @@ fn main() {
         "Ablation 3 — server queue discipline, IPP PullBW=50%",
         &["TTR", "FIFO (paper)", "MostRequested"],
     );
-    let mk = |disc: QueueDiscipline| -> Vec<SystemConfig> {
-        TTR_GRID
-            .iter()
-            .map(|&ttr| {
-                let mut c = base.clone();
-                c.algorithm = Algorithm::Ipp;
-                c.pull_bw = 0.5;
-                c.think_time_ratio = ttr;
-                c.queue_discipline = disc;
-                c
-            })
-            .collect()
-    };
-    let fifo = par_run(&mk(QueueDiscipline::Fifo), &proto);
-    let mrf = par_run(&mk(QueueDiscipline::MostRequested), &proto);
-    for ((ttr, f), m) in TTR_GRID.iter().zip(&fifo).zip(&mrf) {
+    // Both disciplines in one pool call: FIFO cells first, then MRF.
+    let mut configs: Vec<SystemConfig> = Vec::new();
+    for disc in [QueueDiscipline::Fifo, QueueDiscipline::MostRequested] {
+        for &ttr in &TTR_GRID {
+            let mut c = base.clone();
+            c.algorithm = Algorithm::Ipp;
+            c.pull_bw = 0.5;
+            c.think_time_ratio = ttr;
+            c.queue_discipline = disc;
+            configs.push(c);
+        }
+    }
+    let results = par_run(&configs, &proto);
+    let (fifo, mrf) = results.split_at(TTR_GRID.len());
+    for ((ttr, f), m) in TTR_GRID.iter().zip(fifo).zip(mrf) {
         t.push_row(vec![
             fmt_units(*ttr),
             fmt_units(f.mean_response),

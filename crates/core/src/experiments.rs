@@ -6,9 +6,11 @@
 //! configuration (usually [`SystemConfig::paper_default`]) so tests can run
 //! the same grids on a scaled-down system.
 //!
-//! Runs within a figure are independent and execute on a thread pool
-//! ([`par_run`]); every run derives its seed deterministically from the
-//! base seed, so figures are reproducible end to end.
+//! Runs within a figure are independent. Each figure queues all of its
+//! cells up front — flat reference lines, warm-ups and every sweep — and
+//! runs them as one batch on a thread pool ([`par_run`]), so no core idles
+//! at a series boundary. Every run derives its seed deterministically from
+//! the base seed, so figures are reproducible end to end.
 
 use crate::config::{
     Algorithm, ClientPopulation, CrashConfig, FaultConfig, MeasurementProtocol, SystemConfig,
@@ -95,16 +97,17 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Run `configs` on `available_parallelism` worker threads, preserving
-/// order. Deterministic: each config carries its own seed.
-///
-/// Panic-safe: a cell that panics (e.g. an invalid configuration slipping
-/// into a sweep) yields [`SteadyStateResult::failed`] with the panic
-/// message in its `error` field, and the rest of the sweep completes
-/// normally.
-pub fn par_run(configs: &[SystemConfig], proto: &MeasurementProtocol) -> Vec<SteadyStateResult> {
-    let n = configs.len();
-    let results: Mutex<Vec<Option<SteadyStateResult>>> = Mutex::new(vec![None; n]);
+/// Apply `f` to every item on `available_parallelism` worker threads,
+/// preserving order. Workers take the next unclaimed index, so dispatch is
+/// in input order. Each call runs under `catch_unwind`: a panicking item
+/// yields its payload as `Err` and the rest of the batch completes.
+fn par_map<T: Sync, R: Send>(
+    items: &[T],
+    f: impl Fn(&T) -> R + Sync,
+) -> Vec<std::thread::Result<R>> {
+    let n = items.len();
+    let results: Mutex<Vec<Option<std::thread::Result<R>>>> =
+        Mutex::new((0..n).map(|_| None).collect());
     let next = AtomicUsize::new(0);
     let workers = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
@@ -118,12 +121,7 @@ pub fn par_run(configs: &[SystemConfig], proto: &MeasurementProtocol) -> Vec<Ste
                 if i >= n {
                     break;
                 }
-                let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    run_steady_state(&configs[i], proto)
-                }))
-                .unwrap_or_else(|payload| {
-                    SteadyStateResult::failed(panic_message(payload.as_ref()), &configs[i])
-                });
+                let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&items[i])));
                 // bpp-lint: allow(D3): lock poisoning is impossible: worker closures catch_unwind around the only panic source
                 results.lock().expect("no panics hold the lock")[i] = Some(r);
             });
@@ -139,6 +137,25 @@ pub fn par_run(configs: &[SystemConfig], proto: &MeasurementProtocol) -> Vec<Ste
         .collect()
 }
 
+/// Run `configs` on `available_parallelism` worker threads, preserving
+/// order. Deterministic: each config carries its own seed.
+///
+/// Panic-safe: a cell that panics (e.g. an invalid configuration slipping
+/// into a sweep, or a dirty conservation ledger) yields
+/// [`SteadyStateResult::failed`] with the panic message in its `error`
+/// field, and the rest of the sweep completes normally.
+pub fn par_run(configs: &[SystemConfig], proto: &MeasurementProtocol) -> Vec<SteadyStateResult> {
+    par_map(configs, |c| run_steady_state(c, proto))
+        .into_iter()
+        .zip(configs)
+        .map(|(r, c)| {
+            r.unwrap_or_else(|payload| {
+                SteadyStateResult::failed(panic_message(payload.as_ref()), c)
+            })
+        })
+        .collect()
+}
+
 /// Derive a per-run seed so that every point of every figure is an
 /// independent but reproducible sample.
 ///
@@ -148,75 +165,121 @@ pub fn par_run(configs: &[SystemConfig], proto: &MeasurementProtocol) -> Vec<Ste
 /// `50 + tag`) could collide and hand two distinct cells the same RNG
 /// streams. The finalizer is a bijection on `u64`, hence injective in
 /// `tag` for any fixed `base`.
-fn derive_seed(base: u64, tag: u64) -> u64 {
+///
+/// Public so that a single figure cell can be reproduced outside its
+/// figure: the cell's config is the base with its tweaks and
+/// `seed = derive_seed(base.seed, tag)`.
+pub fn derive_seed(base: u64, tag: u64) -> u64 {
     let mut z = base.wrapping_add(tag.wrapping_mul(0x9E37_79B9_7F4A_7C15));
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
 }
 
-fn sweep_ttr(
-    base: &SystemConfig,
-    proto: &MeasurementProtocol,
-    grid: &[f64],
-    label: &str,
-    tag: u64,
-    tweak: impl Fn(&mut SystemConfig),
-) -> Series {
-    let configs: Vec<SystemConfig> = grid
-        .iter()
-        .enumerate()
-        .map(|(i, &ttr)| {
-            let mut c = base.clone();
-            c.think_time_ratio = ttr;
-            c.seed = derive_seed(base.seed, tag * 1000 + i as u64);
-            tweak(&mut c);
-            c
-        })
-        .collect();
-    let results = par_run(&configs, proto);
-    Series {
-        label: label.to_string(),
-        points: grid
-            .iter()
-            .zip(&results)
-            .map(|(&x, r)| (x, r.mean_response))
-            .collect(),
-        results,
-    }
+/// One figure's steady-state cells, queued up front and run in a single
+/// [`par_run`] call so no core idles at a series boundary. Each queued
+/// series records its label, x values and the index of the result behind
+/// every point; [`Batch::run`] rebuilds the series from those indices.
+struct Batch<'a> {
+    base: &'a SystemConfig,
+    configs: Vec<SystemConfig>,
+    series: Vec<(String, Vec<f64>, Vec<usize>)>,
 }
 
-/// Pure-Push is independent of the client population; run it once and
-/// replicate the value across the grid (exactly how the paper plots its
-/// flat line).
-fn push_flat_series(
-    base: &SystemConfig,
-    proto: &MeasurementProtocol,
-    grid: &[f64],
-    label: &str,
-    tag: u64,
-    tweak: impl Fn(&mut SystemConfig),
-) -> Series {
-    let mut c = base.clone();
-    c.algorithm = Algorithm::PurePush;
-    c.seed = derive_seed(base.seed, tag);
-    tweak(&mut c);
-    let r = run_steady_state(&c, proto);
-    Series {
-        label: label.to_string(),
-        points: grid.iter().map(|&x| (x, r.mean_response)).collect(),
-        results: vec![r; grid.len()],
+impl<'a> Batch<'a> {
+    fn new(base: &'a SystemConfig) -> Self {
+        Batch {
+            base,
+            configs: Vec::new(),
+            series: Vec::new(),
+        }
+    }
+
+    /// A series whose `i`-th point is the run of `configs[i]` at `xs[i]`.
+    fn points(&mut self, label: &str, xs: &[f64], configs: Vec<SystemConfig>) {
+        let first = self.configs.len();
+        self.configs.extend(configs);
+        self.series.push((
+            label.to_string(),
+            xs.to_vec(),
+            (first..self.configs.len()).collect(),
+        ));
+    }
+
+    /// A flat reference line: one run of `config` replicated across `xs`.
+    fn flat(&mut self, label: &str, xs: &[f64], config: SystemConfig) {
+        let i = self.configs.len();
+        self.configs.push(config);
+        self.series
+            .push((label.to_string(), xs.to_vec(), vec![i; xs.len()]));
+    }
+
+    /// Sweep the ThinkTimeRatio over `grid`, point `i` seeded from
+    /// `tag * 1000 + i`.
+    fn sweep_ttr(
+        &mut self,
+        grid: &[f64],
+        label: &str,
+        tag: u64,
+        tweak: impl Fn(&mut SystemConfig),
+    ) {
+        let configs = grid
+            .iter()
+            .enumerate()
+            .map(|(i, &ttr)| {
+                let mut c = self.base.clone();
+                c.think_time_ratio = ttr;
+                c.seed = derive_seed(self.base.seed, tag * 1000 + i as u64);
+                tweak(&mut c);
+                c
+            })
+            .collect();
+        self.points(label, grid, configs);
+    }
+
+    /// Pure-Push is independent of the client population; run it once and
+    /// replicate the value across the grid (exactly how the paper plots its
+    /// flat line).
+    fn push_flat(
+        &mut self,
+        grid: &[f64],
+        label: &str,
+        tag: u64,
+        tweak: impl Fn(&mut SystemConfig),
+    ) {
+        let mut c = self.base.clone();
+        c.algorithm = Algorithm::PurePush;
+        c.seed = derive_seed(self.base.seed, tag);
+        tweak(&mut c);
+        self.flat(label, grid, c);
+    }
+
+    /// Run every queued cell in one pool call and rebuild the series, in
+    /// queueing order, with each point's y the cell's mean response.
+    fn run(self, proto: &MeasurementProtocol) -> Vec<Series> {
+        let results = par_run(&self.configs, proto);
+        self.series
+            .into_iter()
+            .map(|(label, xs, idx)| Series {
+                label,
+                points: xs
+                    .iter()
+                    .zip(&idx)
+                    .map(|(&x, &i)| (x, results[i].mean_response))
+                    .collect(),
+                results: idx.iter().map(|&i| results[i].clone()).collect(),
+            })
+            .collect()
     }
 }
 
 /// Figure 3(a): steady-state response time vs. ThinkTimeRatio for
 /// Pure-Push, Pure-Pull and IPP (PullBW 50%), at SteadyStatePerc 0% / 95%.
 pub fn fig3a(base: &SystemConfig, proto: &MeasurementProtocol) -> Figure {
-    let mut series = vec![push_flat_series(base, proto, &TTR_GRID, "Push", 30, |_| {})];
+    let mut batch = Batch::new(base);
+    batch.push_flat(&TTR_GRID, "Push", 30, |_| {});
     for (k, ssp) in [0.0, 0.95].into_iter().enumerate() {
-        series.push(sweep_ttr(
-            base,
-            proto,
+        batch.sweep_ttr(
             &TTR_GRID,
             &format!("Pull {:.0}%", ssp * 100.0),
             31 + k as u64,
@@ -224,12 +287,10 @@ pub fn fig3a(base: &SystemConfig, proto: &MeasurementProtocol) -> Figure {
                 c.algorithm = Algorithm::PurePull;
                 c.steady_state_perc = ssp;
             },
-        ));
+        );
     }
     for (k, ssp) in [0.0, 0.95].into_iter().enumerate() {
-        series.push(sweep_ttr(
-            base,
-            proto,
+        batch.sweep_ttr(
             &TTR_GRID,
             &format!("IPP {:.0}%", ssp * 100.0),
             33 + k as u64,
@@ -239,28 +300,27 @@ pub fn fig3a(base: &SystemConfig, proto: &MeasurementProtocol) -> Figure {
                 c.thres_perc = 0.0;
                 c.steady_state_perc = ssp;
             },
-        ));
+        );
     }
     Figure {
         id: "3a".into(),
         title: "Steady state client performance, IPP PullBW=50%, SteadyStatePerc varied".into(),
         x_label: "Think Time Ratio".into(),
         y_label: "Response Time (Broadcast Units)".into(),
-        series,
+        series: batch.run(proto),
     }
 }
 
 /// Figure 3(b): IPP PullBW ∈ {10, 30, 50}%, SteadyStatePerc 95%.
 pub fn fig3b(base: &SystemConfig, proto: &MeasurementProtocol) -> Figure {
-    let mut series = vec![push_flat_series(base, proto, &TTR_GRID, "Push", 40, |_| {})];
-    series.push(sweep_ttr(base, proto, &TTR_GRID, "Pull", 41, |c| {
+    let mut batch = Batch::new(base);
+    batch.push_flat(&TTR_GRID, "Push", 40, |_| {});
+    batch.sweep_ttr(&TTR_GRID, "Pull", 41, |c| {
         c.algorithm = Algorithm::PurePull;
         c.steady_state_perc = 0.95;
-    }));
+    });
     for (k, bw) in [0.5, 0.3, 0.1].into_iter().enumerate() {
-        series.push(sweep_ttr(
-            base,
-            proto,
+        batch.sweep_ttr(
             &TTR_GRID,
             &format!("IPP PullBW {:.0}%", bw * 100.0),
             42 + k as u64,
@@ -270,38 +330,31 @@ pub fn fig3b(base: &SystemConfig, proto: &MeasurementProtocol) -> Figure {
                 c.thres_perc = 0.0;
                 c.steady_state_perc = 0.95;
             },
-        ));
+        );
     }
     Figure {
         id: "3b".into(),
         title: "Steady state client performance, IPP PullBW varied, SteadyStatePerc=95%".into(),
         x_label: "Think Time Ratio".into(),
         y_label: "Response Time (Broadcast Units)".into(),
-        series,
+        series: batch.run(proto),
     }
 }
 
 /// Figures 4(a)/4(b): cache warm-up time vs. fraction of the ideal cache
 /// acquired, at the given ThinkTimeRatio (25 = light, 250 = heavy),
 /// IPP PullBW 50%.
+///
+/// The five warm-up runs share one pool call. A warm-up result has no
+/// `error` field, so a panicking run is re-raised once the pool has joined.
 pub fn fig4(base: &SystemConfig, proto: &MeasurementProtocol, ttr: f64) -> Figure {
-    let mut series = Vec::new();
+    let mut cells: Vec<(String, SystemConfig)> = Vec::new();
     let mut mk = |label: String, tag: u64, tweak: &dyn Fn(&mut SystemConfig)| {
         let mut c = base.clone();
         c.think_time_ratio = ttr;
         c.seed = derive_seed(base.seed, 50 + tag);
         tweak(&mut c);
-        let r = run_warmup(&c, proto);
-        series.push(Series {
-            label,
-            points: r
-                .fractions
-                .iter()
-                .zip(&r.times)
-                .map(|(&f, t)| (f * 100.0, t.unwrap_or(f64::INFINITY)))
-                .collect(),
-            results: Vec::new(),
-        });
+        cells.push((label, c));
     };
     mk("Push".into(), 0, &|c: &mut SystemConfig| {
         c.algorithm = Algorithm::PurePush;
@@ -328,6 +381,24 @@ pub fn fig4(base: &SystemConfig, proto: &MeasurementProtocol, ttr: f64) -> Figur
             },
         );
     }
+    let runs = par_map(&cells, |(_, c)| run_warmup(c, proto));
+    let series = cells
+        .into_iter()
+        .zip(runs)
+        .map(|((label, _), r)| {
+            let r = r.unwrap_or_else(|payload| std::panic::resume_unwind(payload));
+            Series {
+                label,
+                points: r
+                    .fractions
+                    .iter()
+                    .zip(&r.times)
+                    .map(|(&f, t)| (f * 100.0, t.unwrap_or(f64::INFINITY)))
+                    .collect(),
+                results: Vec::new(),
+            }
+        })
+        .collect();
     Figure {
         id: if ttr <= 100.0 { "4a" } else { "4b" }.into(),
         title: format!("Client cache warm-up time, ThinkTimeRatio={ttr}, IPP PullBW=50%"),
@@ -354,21 +425,17 @@ fn noise_figure(
     id: &str,
     name: &str,
 ) -> Figure {
-    let mut series = Vec::new();
+    let mut batch = Batch::new(base);
     for (k, noise) in [0.0, 0.15, 0.35].into_iter().enumerate() {
-        series.push(push_flat_series(
-            base,
-            proto,
+        batch.push_flat(
             &TTR_GRID,
             &format!("Push Noise {:.0}%", noise * 100.0),
             60 + k as u64,
             move |c| c.noise = noise,
-        ));
+        );
     }
     for (k, noise) in [0.0, 0.15, 0.35].into_iter().enumerate() {
-        series.push(sweep_ttr(
-            base,
-            proto,
+        batch.sweep_ttr(
             &TTR_GRID,
             &format!("{name} Noise {:.0}%", noise * 100.0),
             63 + k as u64,
@@ -379,36 +446,28 @@ fn noise_figure(
                 c.thres_perc = 0.0;
                 c.steady_state_perc = 0.95;
             },
-        ));
+        );
     }
     Figure {
         id: id.into(),
         title: format!("Noise sensitivity, {name} vs Push, IPP PullBW=50%"),
         x_label: "Think Time Ratio".into(),
         y_label: "Response Time (Broadcast Units)".into(),
-        series,
+        series: batch.run(proto),
     }
 }
 
 /// Figures 6(a)/6(b): influence of the threshold on response time at the
 /// given PullBW (50% for 6a, 30% for 6b).
 pub fn fig6(base: &SystemConfig, proto: &MeasurementProtocol, pull_bw: f64) -> Figure {
-    let mut series = vec![push_flat_series(
-        base,
-        proto,
-        &TTR_GRID_FINE,
-        "Push",
-        70,
-        |_| {},
-    )];
-    series.push(sweep_ttr(base, proto, &TTR_GRID_FINE, "Pull", 71, |c| {
+    let mut batch = Batch::new(base);
+    batch.push_flat(&TTR_GRID_FINE, "Push", 70, |_| {});
+    batch.sweep_ttr(&TTR_GRID_FINE, "Pull", 71, |c| {
         c.algorithm = Algorithm::PurePull;
         c.steady_state_perc = 0.95;
-    }));
+    });
     for (k, thres) in [0.35, 0.25, 0.10, 0.0].into_iter().enumerate() {
-        series.push(sweep_ttr(
-            base,
-            proto,
+        batch.sweep_ttr(
             &TTR_GRID_FINE,
             &format!("IPP ThresPerc {:.0}%", thres * 100.0),
             72 + k as u64,
@@ -418,7 +477,7 @@ pub fn fig6(base: &SystemConfig, proto: &MeasurementProtocol, pull_bw: f64) -> F
                 c.thres_perc = thres;
                 c.steady_state_perc = 0.95;
             },
-        ));
+        );
     }
     Figure {
         id: if (pull_bw - 0.5).abs() < 1e-9 {
@@ -433,7 +492,7 @@ pub fn fig6(base: &SystemConfig, proto: &MeasurementProtocol, pull_bw: f64) -> F
         ),
         x_label: "Think Time Ratio".into(),
         y_label: "Response Time (Broadcast Units)".into(),
-        series,
+        series: batch.run(proto),
     }
 }
 
@@ -448,25 +507,19 @@ pub fn fig7(base: &SystemConfig, proto: &MeasurementProtocol, thres: f64) -> Fig
         .filter(|&c| c <= base.db_size.saturating_sub(base.disk_sizes[0]))
         .collect();
     let xs: Vec<f64> = chop_grid.iter().map(|&c| c as f64).collect();
-    let mut series = vec![push_flat_series(base, proto, &xs, "Push", 80, |c| {
+    let mut batch = Batch::new(base);
+    batch.push_flat(&xs, "Push", 80, |c| {
         c.think_time_ratio = ttr;
-    })];
+    });
     // Pure-Pull ignores the push schedule: one run, flat.
-    {
-        let mut c = base.clone();
-        c.algorithm = Algorithm::PurePull;
-        c.steady_state_perc = 0.95;
-        c.think_time_ratio = ttr;
-        c.seed = derive_seed(base.seed, 81);
-        let r = run_steady_state(&c, proto);
-        series.push(Series {
-            label: "Pull".into(),
-            points: xs.iter().map(|&x| (x, r.mean_response)).collect(),
-            results: vec![r; xs.len()],
-        });
-    }
+    let mut pull = base.clone();
+    pull.algorithm = Algorithm::PurePull;
+    pull.steady_state_perc = 0.95;
+    pull.think_time_ratio = ttr;
+    pull.seed = derive_seed(base.seed, 81);
+    batch.flat("Pull", &xs, pull);
     for (k, bw) in [0.1, 0.3, 0.5].into_iter().enumerate() {
-        let configs: Vec<SystemConfig> = chop_grid
+        let configs = chop_grid
             .iter()
             .enumerate()
             .map(|(i, &chop)| {
@@ -481,16 +534,7 @@ pub fn fig7(base: &SystemConfig, proto: &MeasurementProtocol, thres: f64) -> Fig
                 c
             })
             .collect();
-        let results = par_run(&configs, proto);
-        series.push(Series {
-            label: format!("IPP PullBW {:.0}%", bw * 100.0),
-            points: xs
-                .iter()
-                .zip(&results)
-                .map(|(&x, r)| (x, r.mean_response))
-                .collect(),
-            results,
-        });
+        batch.points(&format!("IPP PullBW {:.0}%", bw * 100.0), &xs, configs);
     }
     Figure {
         id: if exactly_zero(thres) { "7a" } else { "7b" }.into(),
@@ -500,18 +544,19 @@ pub fn fig7(base: &SystemConfig, proto: &MeasurementProtocol, thres: f64) -> Fig
         ),
         x_label: "Number of Non-Broadcast Pages".into(),
         y_label: "Response Time (Broadcast Units)".into(),
-        series,
+        series: batch.run(proto),
     }
 }
 
 /// Figure 8: server-load sensitivity of the restricted push schedule
 /// (IPP PullBW 30%, ThresPerc 35%, chop ∈ {0, 200, 300, 500, 700}).
 pub fn fig8(base: &SystemConfig, proto: &MeasurementProtocol) -> Figure {
-    let mut series = vec![push_flat_series(base, proto, &TTR_GRID, "Push", 90, |_| {})];
-    series.push(sweep_ttr(base, proto, &TTR_GRID, "Pull", 91, |c| {
+    let mut batch = Batch::new(base);
+    batch.push_flat(&TTR_GRID, "Push", 90, |_| {});
+    batch.sweep_ttr(&TTR_GRID, "Pull", 91, |c| {
         c.algorithm = Algorithm::PurePull;
         c.steady_state_perc = 0.95;
-    }));
+    });
     let max_chop = base.db_size.saturating_sub(base.disk_sizes[0]);
     for (k, chop) in [0usize, 200, 300, 500, 700]
         .into_iter()
@@ -523,27 +568,20 @@ pub fn fig8(base: &SystemConfig, proto: &MeasurementProtocol) -> Figure {
         } else {
             format!("IPP -{chop}")
         };
-        series.push(sweep_ttr(
-            base,
-            proto,
-            &TTR_GRID,
-            &label,
-            92 + k as u64,
-            move |c| {
-                c.algorithm = Algorithm::Ipp;
-                c.pull_bw = 0.3;
-                c.thres_perc = 0.35;
-                c.steady_state_perc = 0.95;
-                c.chop = chop;
-            },
-        ));
+        batch.sweep_ttr(&TTR_GRID, &label, 92 + k as u64, move |c| {
+            c.algorithm = Algorithm::Ipp;
+            c.pull_bw = 0.3;
+            c.thres_perc = 0.35;
+            c.steady_state_perc = 0.95;
+            c.chop = chop;
+        });
     }
     Figure {
         id: "8".into(),
         title: "Server load sensitivity for restricted push, PullBW=30%, ThresPerc=35%".into(),
         x_label: "Think Time Ratio".into(),
         y_label: "Response Time (Broadcast Units)".into(),
-        series,
+        series: batch.run(proto),
     }
 }
 
@@ -554,11 +592,9 @@ pub fn fig8(base: &SystemConfig, proto: &MeasurementProtocol) -> Figure {
 /// ([`FaultConfig::lossy`]: symmetric channel loss, standard client retry
 /// policy, standard server degradation policy).
 pub fn loss_sweep(base: &SystemConfig, proto: &MeasurementProtocol) -> Figure {
-    let mut series = Vec::new();
+    let mut batch = Batch::new(base);
     for (k, loss) in LOSS_GRID.into_iter().enumerate() {
-        series.push(sweep_ttr(
-            base,
-            proto,
+        batch.sweep_ttr(
             &LOSS_TTR_GRID,
             &format!("IPP loss {:.0}%", loss * 100.0),
             100 + k as u64,
@@ -573,14 +609,14 @@ pub fn loss_sweep(base: &SystemConfig, proto: &MeasurementProtocol) -> Figure {
                     FaultConfig::none()
                 };
             },
-        ));
+        );
     }
     Figure {
         id: "L1".into(),
         title: "Response time under channel loss, IPP PullBW=50%, retries+degradation on".into(),
         x_label: "Think Time Ratio".into(),
         y_label: "Response Time (Broadcast Units)".into(),
-        series,
+        series: batch.run(proto),
     }
 }
 
@@ -606,13 +642,14 @@ pub fn fleet_sweep(base: &SystemConfig, proto: &MeasurementProtocol) -> Figure {
         c.steady_state_perc = 0.95;
         c.think_time_ratio = 25.0;
     }
+    let xs: Vec<f64> = FLEET_GRID.iter().map(|&n| n as f64).collect();
+    let mut batch = Batch::new(base);
     // Reference cell: the aggregate VC at the same operating point.
     let mut vc = base.clone();
     operating_point(&mut vc);
     vc.seed = derive_seed(base.seed, 104);
-    let vc_r = run_steady_state(&vc, proto);
-
-    let configs: Vec<SystemConfig> = FLEET_GRID
+    batch.flat("VC aggregate", &xs, vc);
+    let configs = FLEET_GRID
         .iter()
         .enumerate()
         .map(|(i, &n)| {
@@ -623,36 +660,25 @@ pub fn fleet_sweep(base: &SystemConfig, proto: &MeasurementProtocol) -> Figure {
             c
         })
         .collect();
-    let results = par_run(&configs, proto);
+    batch.points("Fleet MC response", &xs, configs);
+    let mut series = batch.run(proto);
 
-    let xs: Vec<f64> = FLEET_GRID.iter().map(|&n| n as f64).collect();
-    let fleet_series = |label: &str, pick: fn(&crate::runner::FleetResult) -> f64| Series {
-        label: label.to_string(),
-        points: xs
-            .iter()
-            .zip(&results)
-            .map(|(&x, r)| (x, r.fleet.as_ref().map_or(f64::NAN, pick)))
-            .collect(),
-        results: results.clone(),
-    };
-    let series = vec![
+    let fleet_series = |label: &str, pick: fn(&crate::runner::FleetResult) -> f64| {
+        let mc = &series[1];
         Series {
-            label: "VC aggregate".to_string(),
-            points: xs.iter().map(|&x| (x, vc_r.mean_response)).collect(),
-            results: vec![vc_r; xs.len()],
-        },
-        Series {
-            label: "Fleet MC response".to_string(),
-            points: xs
+            label: label.to_string(),
+            points: mc
+                .points
                 .iter()
-                .zip(&results)
-                .map(|(&x, r)| (x, r.mean_response))
+                .zip(&mc.results)
+                .map(|(&(x, _), r)| (x, r.fleet.as_ref().map_or(f64::NAN, pick)))
                 .collect(),
-            results: results.clone(),
-        },
-        fleet_series("Fleet mean flow", |f| f.mean_flow),
-        fleet_series("Fleet max stretch", |f| f.max_stretch),
-    ];
+            results: mc.results.clone(),
+        }
+    };
+    let flow = fleet_series("Fleet mean flow", |f| f.mean_flow);
+    let stretch = fleet_series("Fleet max stretch", |f| f.max_stretch);
+    series.extend([flow, stretch]);
     Figure {
         id: "P1".into(),
         title: "Population sweep: arena fleet vs aggregate VC, IPP PullBW=50%, TTR=25".into(),
@@ -784,9 +810,10 @@ pub fn crash_sweep(base: &SystemConfig, proto: &MeasurementProtocol) -> Figure {
 /// the same cell as the robustness scenarios, so the K=1 column is
 /// directly comparable to the single-channel figures.
 pub fn channel_sweep(base: &SystemConfig, proto: &MeasurementProtocol) -> Figure {
-    let mut series = Vec::new();
+    let xs: Vec<f64> = CHANNEL_GRID.iter().map(|&k| k as f64).collect();
+    let mut batch = Batch::new(base);
     for (s, &ttr) in CHANNEL_TTR_GRID.iter().enumerate() {
-        let configs: Vec<SystemConfig> = CHANNEL_GRID
+        let configs = CHANNEL_GRID
             .iter()
             .enumerate()
             .map(|(i, &k)| {
@@ -801,23 +828,14 @@ pub fn channel_sweep(base: &SystemConfig, proto: &MeasurementProtocol) -> Figure
                 c
             })
             .collect();
-        let results = par_run(&configs, proto);
-        series.push(Series {
-            label: format!("IPP-50 TTR={ttr:.0}"),
-            points: CHANNEL_GRID
-                .iter()
-                .zip(&results)
-                .map(|(&k, r)| (k as f64, r.mean_response))
-                .collect(),
-            results,
-        });
+        batch.points(&format!("IPP-50 TTR={ttr:.0}"), &xs, configs);
     }
     Figure {
         id: "K1".into(),
         title: "Channel-count sweep: conflict-free K-channel broadcast, IPP PullBW=50%".into(),
         x_label: "Broadcast Channels".into(),
         y_label: "Response Time (Broadcast Units)".into(),
-        series,
+        series: batch.run(proto),
     }
 }
 
@@ -987,9 +1005,10 @@ mod tests {
     #[test]
     fn derive_seed_is_injective_over_every_experiment_tag() {
         // Tag families in use: bare literals (30, 40, 60..66, 70, 80, 81,
-        // 90, 104), `50 + tag` (fig4), `tag * 1000 + i` (every sweep_ttr
-        // call, tags up to 103, plus 105 for fleet_sweep), `(82 + k) *
-        // 1000 + i` (fig7), `(107 + k) * 1000 + i` (crash_sweep), and
+        // 90, 104), `50 + tag` (fig4), `tag * 1000 + i` (every
+        // `Batch::sweep_ttr` call, tags up to 103, plus 105 for
+        // fleet_sweep), `(82 + k) * 1000 + i` (fig7), `(107 + k) * 1000 + i`
+        // (crash_sweep), and
         // `(110 + s) * 1000 + i` (channel_sweep). The range below is a
         // superset of all of them; the old linear mix collided inside it
         // (e.g. families `tag*1000 + i` vs. small literals).
@@ -1100,6 +1119,152 @@ mod tests {
         // Push is flat by construction.
         let push = &fig.series[0];
         assert!(push.points.windows(2).all(|w| w[0].1 == w[1].1));
+    }
+
+    #[test]
+    fn fig3a_reference_cells_are_panic_safe() {
+        // Every cell of the figure, the flat Push reference included, runs
+        // inside the pool: a poisoned base yields a figure of failed cells
+        // instead of aborting it.
+        let mut base = small_base();
+        base.db_size = 0;
+        let fig = fig3a(&base, &MeasurementProtocol::quick());
+        assert_eq!(fig.series.len(), 5);
+        for s in &fig.series {
+            assert_eq!(s.results.len(), TTR_GRID.len());
+            for r in &s.results {
+                let err = r.error.as_ref().expect("every cell failed");
+                assert!(err.message.contains("invalid SystemConfig"));
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid SystemConfig")]
+    fn fig4_reraises_a_panicking_warmup() {
+        // Warm-up results have no `error` field: the pool re-raises.
+        let mut base = small_base();
+        base.db_size = 0;
+        fig4(&base, &MeasurementProtocol::quick(), 25.0);
+    }
+
+    /// The config behind one figure cell: `base` with `tweak` applied and
+    /// the seed derived from `tag`.
+    fn cell(base: &SystemConfig, tag: u64, tweak: impl Fn(&mut SystemConfig)) -> SystemConfig {
+        let mut c = base.clone();
+        c.seed = derive_seed(base.seed, tag);
+        tweak(&mut c);
+        c
+    }
+
+    /// Assert every result of `series` serializes exactly as a sequential
+    /// run of the config `expected(point index)` gives for it.
+    fn assert_series_matches(
+        series: &Series,
+        proto: &MeasurementProtocol,
+        expected: impl Fn(usize) -> SystemConfig,
+    ) {
+        for (i, r) in series.results.iter().enumerate() {
+            let seq = run_steady_state(&expected(i), proto);
+            assert_eq!(
+                bpp_json::to_string(r),
+                bpp_json::to_string(&seq),
+                "`{}` point {i} differs from its sequential run",
+                series.label
+            );
+        }
+    }
+
+    fn pull95(c: &mut SystemConfig) {
+        c.algorithm = Algorithm::PurePull;
+        c.steady_state_perc = 0.95;
+    }
+
+    fn ipp(c: &mut SystemConfig, bw: f64, thres: f64, ssp: f64) {
+        c.algorithm = Algorithm::Ipp;
+        c.pull_bw = bw;
+        c.thres_perc = thres;
+        c.steady_state_perc = ssp;
+    }
+
+    #[test]
+    fn fig3a_batch_matches_sequential_runs() {
+        let base = small_base();
+        let proto = MeasurementProtocol::quick();
+        let fig = fig3a(&base, &proto);
+        let ttr = |i: usize| TTR_GRID[i];
+        assert_series_matches(&fig.series[0], &proto, |_| {
+            cell(&base, 30, |c| c.algorithm = Algorithm::PurePush)
+        });
+        for (k, ssp) in [0.0, 0.95].into_iter().enumerate() {
+            assert_series_matches(&fig.series[1 + k], &proto, |i| {
+                cell(&base, (31 + k as u64) * 1000 + i as u64, |c| {
+                    c.think_time_ratio = ttr(i);
+                    c.algorithm = Algorithm::PurePull;
+                    c.steady_state_perc = ssp;
+                })
+            });
+            assert_series_matches(&fig.series[3 + k], &proto, |i| {
+                cell(&base, (33 + k as u64) * 1000 + i as u64, |c| {
+                    c.think_time_ratio = ttr(i);
+                    ipp(c, 0.5, 0.0, ssp);
+                })
+            });
+        }
+    }
+
+    #[test]
+    fn fig7_batch_matches_sequential_runs() {
+        // small(): the chop cap leaves one column, chop 0.
+        let base = small_base();
+        let proto = MeasurementProtocol::quick();
+        let fig = fig7(&base, &proto, 0.35);
+        assert_eq!(fig.series.len(), 5);
+        assert_series_matches(&fig.series[0], &proto, |_| {
+            cell(&base, 80, |c| {
+                c.algorithm = Algorithm::PurePush;
+                c.think_time_ratio = 25.0;
+            })
+        });
+        assert_series_matches(&fig.series[1], &proto, |_| {
+            cell(&base, 81, |c| {
+                pull95(c);
+                c.think_time_ratio = 25.0;
+            })
+        });
+        for (k, bw) in [0.1, 0.3, 0.5].into_iter().enumerate() {
+            assert_series_matches(&fig.series[2 + k], &proto, |i| {
+                cell(&base, (82 + k as u64) * 1000 + i as u64, |c| {
+                    ipp(c, bw, 0.35, 0.95);
+                    c.think_time_ratio = 25.0;
+                    c.chop = CHOP_GRID[i];
+                })
+            });
+        }
+    }
+
+    #[test]
+    fn fig8_batch_matches_sequential_runs() {
+        // small(): the chop cap leaves one IPP series, the full database.
+        let base = small_base();
+        let proto = MeasurementProtocol::quick();
+        let fig = fig8(&base, &proto);
+        assert_eq!(fig.series.len(), 3);
+        assert_series_matches(&fig.series[0], &proto, |_| {
+            cell(&base, 90, |c| c.algorithm = Algorithm::PurePush)
+        });
+        assert_series_matches(&fig.series[1], &proto, |i| {
+            cell(&base, 91 * 1000 + i as u64, |c| {
+                c.think_time_ratio = TTR_GRID[i];
+                pull95(c);
+            })
+        });
+        assert_series_matches(&fig.series[2], &proto, |i| {
+            cell(&base, 92 * 1000 + i as u64, |c| {
+                c.think_time_ratio = TTR_GRID[i];
+                ipp(c, 0.3, 0.35, 0.95);
+            })
+        });
     }
 
     #[test]

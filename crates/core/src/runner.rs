@@ -333,10 +333,18 @@ pub(crate) fn collect_steady_state(
 /// Run the steady-state protocol: fill the MC cache, skip the configured
 /// number of accesses, measure until the response-time estimate stabilises
 /// (or a cap is hit).
+///
+/// # Panics
+///
+/// Panics when the run's [`ConservationLedger`](crate::fault::ConservationLedger)
+/// is dirty: a lost request, a queue over its bound or time running
+/// backwards is a simulator bug. [`par_run`](crate::experiments::par_run)
+/// turns the panic into the cell's `error`.
 pub fn run_steady_state(cfg: &SystemConfig, protocol: &MeasurementProtocol) -> SteadyStateResult {
     let mut engine = World::steady_state(cfg, protocol).into_engine();
     engine.run_while(|w| !w.done());
     let w = engine.model();
+    w.conservation_ledger().assert_clean();
     let bm = w.responses();
     let converged = w.phase() == Phase::Measure
         && bm.count() < protocol.max_accesses

@@ -14,6 +14,11 @@ cargo test -q --frozen
 cargo test -q --frozen -p bpp-core --test faults
 cargo clippy --all-targets --frozen -- -D warnings
 
+# The benchmark (perfbench/, a package of its own outside the workspace)
+# calls the public experiment API; its smoke test fails the gate when a
+# change to that API breaks it.
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
+
 # Determinism & hygiene static analysis (see DESIGN.md "Static analysis"):
 # exit 1 on any unsuppressed diagnostic, exit 3 on an internal lexer
 # failure. On success the human report prints the per-rule counts and

@@ -2,7 +2,7 @@
 //! configuration (including the seed).
 
 use bpp_core::adaptive::{run_adaptive, AdaptiveConfig};
-use bpp_core::experiments::par_run;
+use bpp_core::experiments::{derive_seed, fig4, par_run};
 use bpp_core::{run_steady_state, run_warmup, Algorithm, MeasurementProtocol, SystemConfig};
 
 fn cfg(algo: Algorithm, seed: u64) -> SystemConfig {
@@ -60,6 +60,44 @@ fn parallel_and_sequential_execution_agree() {
     for (c, p) in configs.iter().zip(&par) {
         let seq = run_steady_state(c, &proto);
         assert_eq!(seq.mean_response, p.mean_response);
+    }
+}
+
+#[test]
+fn fig4_batch_matches_sequential_warmups() {
+    // fig4 runs its five warm-ups in one pool call; each curve must be
+    // exactly the milestones of a sequential run of the same cell.
+    let base = SystemConfig::small();
+    let proto = MeasurementProtocol::quick();
+    let fig = fig4(&base, &proto, 25.0);
+    let cells: [(Algorithm, f64); 5] = [
+        (Algorithm::PurePush, 0.0),
+        (Algorithm::PurePull, 0.0),
+        (Algorithm::PurePull, 0.95),
+        (Algorithm::Ipp, 0.0),
+        (Algorithm::Ipp, 0.95),
+    ];
+    assert_eq!(fig.series.len(), cells.len());
+    for (k, (series, (algo, ssp))) in fig.series.iter().zip(cells).enumerate() {
+        let mut c = base.clone();
+        c.think_time_ratio = 25.0;
+        c.seed = derive_seed(base.seed, 50 + k as u64);
+        c.algorithm = algo;
+        if algo != Algorithm::PurePush {
+            c.steady_state_perc = ssp;
+        }
+        if algo == Algorithm::Ipp {
+            c.pull_bw = 0.5;
+            c.thres_perc = 0.0;
+        }
+        let seq = run_warmup(&c, &proto);
+        let expected: Vec<(f64, f64)> = seq
+            .fractions
+            .iter()
+            .zip(&seq.times)
+            .map(|(&f, t)| (f * 100.0, t.unwrap_or(f64::INFINITY)))
+            .collect();
+        assert_eq!(series.points, expected, "`{}` differs", series.label);
     }
 }
 
