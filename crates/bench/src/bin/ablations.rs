@@ -8,14 +8,144 @@
 //! 3. **Queue discipline** (IPP under load): FIFO vs. most-requested-first.
 //! 4. **Adaptive IPP** (extension): static knobs vs. the drop-rate-driven
 //!    controller across the load sweep.
+//!
+//! `--smoke` instead runs a fixed set of single-channel cells — the
+//! adaptive controller (plain and across scheduled crashes), saturation
+//! degrade, most-requested-first, updates with prefetch, Pure-Pull, a
+//! chopped program with the per-disk obs timelines, and two Figure-4
+//! warm-up worlds — at seed 42 on the quick protocol, and prints their
+//! results as one JSON object; `scripts/ci.sh` compares the output
+//! byte-for-byte against `results/k1_parity_smoke.json`.
 
 use bpp_bench::Opts;
 use bpp_core::adaptive::{run_adaptive, AdaptiveConfig};
 use bpp_core::experiments::{par_run, TTR_GRID};
 use bpp_core::report::{fmt_units, Table};
-use bpp_core::{run_steady_state, Algorithm, CachePolicy, QueueDiscipline, SystemConfig};
+use bpp_core::{
+    run_steady_state, run_warmup, Algorithm, CachePolicy, CrashConfig, MeasurementProtocol,
+    QueueDiscipline, SaturationPolicy, SystemConfig,
+};
+use bpp_json::{Json, ToJson};
+
+fn smoke() {
+    let proto = MeasurementProtocol::quick();
+    let base = {
+        let mut c = SystemConfig::small();
+        c.algorithm = Algorithm::Ipp;
+        c.pull_bw = 0.5;
+        c.thres_perc = 0.1;
+        c.think_time_ratio = 50.0;
+        c.seed = 42;
+        c
+    };
+    let with = |edit: &dyn Fn(&mut SystemConfig)| {
+        let mut c = base.clone();
+        edit(&mut c);
+        c
+    };
+    let fast_controller = AdaptiveConfig {
+        interval: 200,
+        ..AdaptiveConfig::default()
+    };
+    let cells: Vec<(&str, Json)> = vec![
+        (
+            "adaptive",
+            run_adaptive(&base, &proto, fast_controller).to_json(),
+        ),
+        (
+            "adaptive_crash",
+            run_adaptive(
+                &with(&|c| {
+                    c.fault.crash = CrashConfig {
+                        downtime: 40.0,
+                        schedule: vec![1_500.0, 4_000.0],
+                        recovery_epsilon: 0.2,
+                        ..CrashConfig::none()
+                    };
+                }),
+                &proto,
+                fast_controller,
+            )
+            .to_json(),
+        ),
+        (
+            "degrade",
+            run_steady_state(
+                &with(&|c| {
+                    c.think_time_ratio = 16.0;
+                    c.fault.degrade = SaturationPolicy {
+                        on_occupancy: 0.5,
+                        off_occupancy: 0.2,
+                        shed_to: 0.6,
+                        smoothing: 0.05,
+                    };
+                    c.obs.enabled = true;
+                    c.obs.timeline_stride = 2_000.0;
+                }),
+                &proto,
+            )
+            .to_json(),
+        ),
+        (
+            "most_requested",
+            run_steady_state(
+                &with(&|c| {
+                    c.think_time_ratio = 250.0;
+                    c.queue_discipline = QueueDiscipline::MostRequested;
+                }),
+                &proto,
+            )
+            .to_json(),
+        ),
+        (
+            "updates_prefetch",
+            run_steady_state(
+                &with(&|c| {
+                    c.update_rate = 0.05;
+                    c.mc_prefetch = true;
+                }),
+                &proto,
+            )
+            .to_json(),
+        ),
+        (
+            "pure_pull",
+            run_steady_state(&with(&|c| c.algorithm = Algorithm::PurePull), &proto).to_json(),
+        ),
+        (
+            "chop",
+            run_steady_state(
+                &with(&|c| {
+                    c.chop = 50;
+                    c.obs.enabled = true;
+                    c.obs.timeline_stride = 2_000.0;
+                    c.obs.disk_share = true;
+                }),
+                &proto,
+            )
+            .to_json(),
+        ),
+        ("warmup_ipp", run_warmup(&base, &proto).to_json()),
+        (
+            "warmup_push_prefetch",
+            run_warmup(
+                &with(&|c| {
+                    c.algorithm = Algorithm::PurePush;
+                    c.mc_prefetch = true;
+                }),
+                &proto,
+            )
+            .to_json(),
+        ),
+    ];
+    println!("{}", bpp_json::to_string_pretty(&Json::object(cells)));
+}
 
 fn main() {
+    if std::env::args().any(|a| a == "--smoke") {
+        smoke();
+        return;
+    }
     let opts = Opts::parse();
     let base = opts.base();
     let proto = opts.protocol();

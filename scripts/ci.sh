@@ -94,6 +94,14 @@ cargo fmt --check
 ./target/release/channels --smoke | cmp - results/channels_smoke.json \
     || { echo "ci: channels smoke report diverged from results/channels_smoke.json" >&2; exit 1; }
 
+# Single-channel regression: fixed-seed cells of the branches the other
+# goldens leave unpinned (adaptive controller with and without crashes,
+# saturation degrade, most-requested-first, updates with prefetch,
+# Pure-Pull, a chopped program, Figure-4 warm-up worlds) must reproduce
+# the committed JSON bit for bit.
+./target/release/ablations --smoke | cmp - results/k1_parity_smoke.json \
+    || { echo "ci: K=1 parity report diverged from results/k1_parity_smoke.json" >&2; exit 1; }
+
 # Static program verification: rules V0-V6 over every experiment-grid
 # configuration of the paper system must raise nothing (--deny exits 1 on
 # any finding and prints the report). The grid includes the K-channel
