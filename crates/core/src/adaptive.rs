@@ -214,6 +214,11 @@ impl ToJson for AdaptiveResult {
 }
 
 /// Run the steady-state protocol with the adaptive controller enabled.
+///
+/// # Panics
+///
+/// Panics when the run's conservation ledger is dirty, as
+/// [`run_steady_state`](crate::runner::run_steady_state) does.
 pub fn run_adaptive(
     cfg: &SystemConfig,
     proto: &MeasurementProtocol,
@@ -228,6 +233,7 @@ pub fn run_adaptive(
     let mut engine = world.into_engine();
     engine.run_while(|w| !w.done());
     let w = engine.model();
+    w.conservation_ledger().assert_clean();
     let bm = w.responses();
     // bpp-lint: allow(D3): callers reach this only on worlds built with an adaptive controller
     let ctrl = w.adaptive().expect("adaptive enabled");

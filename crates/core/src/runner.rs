@@ -358,10 +358,16 @@ pub fn run_steady_state(cfg: &SystemConfig, protocol: &MeasurementProtocol) -> S
 
 /// Run the warm-up protocol of Figure 4: a cold MC joins the broadcast and
 /// we time how fast its cache acquires the `CacheSize` highest-valued pages.
+///
+/// # Panics
+///
+/// Panics when the run's conservation ledger is dirty, as
+/// [`run_steady_state`] does.
 pub fn run_warmup(cfg: &SystemConfig, protocol: &MeasurementProtocol) -> WarmupResult {
     let mut engine = World::warmup_experiment(cfg, protocol).into_engine();
     engine.run_while(|w| !w.done());
     let w = engine.model();
+    w.conservation_ledger().assert_clean();
     // bpp-lint: allow(D3): run_warmup builds the world in warmup mode, which always attaches a tracker
     let tracker = w.mc().warmup().expect("warmup world has a tracker");
     WarmupResult {
