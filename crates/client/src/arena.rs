@@ -44,7 +44,8 @@
 
 use crate::retry::{RetryPolicy, RetryState};
 use crate::threshold::ThresholdFilter;
-use bpp_broadcast::{BroadcastProgram, PageId};
+use crate::tuning::route;
+use bpp_broadcast::{MultiChannelProgram, PageId};
 use bpp_sim::rng::Rng;
 use bpp_sim::{Histogram, Welford};
 use bpp_workload::{AccessPattern, ThinkTime};
@@ -102,6 +103,8 @@ pub enum WakeOutcome {
         page: PageId,
         /// Whether the miss passed the threshold filter.
         send_request: bool,
+        /// The channel the client tuned to (see [`crate::tuning::route`]).
+        channel: usize,
     },
 }
 
@@ -111,7 +114,6 @@ pub struct ClientArena {
     // --- Shared, read-only model state. ---
     pattern: AccessPattern,
     think: ThinkTime,
-    threshold: ThresholdFilter,
     /// Page → rank within the ideal cache content, `NONE` when the page is
     /// not cacheable under the static-score policy.
     ideal_rank: Vec<u32>,
@@ -133,8 +135,7 @@ pub struct ClientArena {
     retry: Vec<RetryState>,
     /// Generation counter invalidating timers of completed accesses.
     retry_gen: Vec<u32>,
-    /// Channel the client is tuned to while blocked (`NONE` = thinking or
-    /// single-channel mode). Written only by the K-channel wake path.
+    /// Channel the client is tuned to while blocked (`NONE` = thinking).
     tuned: Vec<u32>,
     // --- Fleet-wide statistics. ---
     stats: FleetStats,
@@ -153,7 +154,6 @@ impl ClientArena {
     /// * `warm_clients` — how many clients (ids `0..warm_clients`) start
     ///   with the full ideal content; the rest start cold;
     /// * `think` — per-client think-time distribution;
-    /// * `threshold` — the backchannel threshold filter;
     /// * `pattern` — the shared access pattern (the population Zipf).
     pub fn new(
         n: usize,
@@ -161,7 +161,6 @@ impl ClientArena {
         ideal_items: &[usize],
         warm_clients: usize,
         think: ThinkTime,
-        threshold: ThresholdFilter,
         pattern: AccessPattern,
     ) -> Self {
         assert!(n > 0, "fleet must have at least one client");
@@ -191,7 +190,6 @@ impl ClientArena {
         ClientArena {
             pattern,
             think,
-            threshold,
             ideal_rank,
             words_per_client,
             acquired,
@@ -244,79 +242,28 @@ impl ClientArena {
         }
     }
 
-    /// One client finishes thinking and begins an access at `now`.
+    /// One client finishes thinking and begins an access at `now` against
+    /// the broadcast `channels`, whose next push slots are at `cursors`.
     ///
     /// On a hit the access completes instantly and the next wake time is
-    /// drawn; on a miss the client joins `page`'s waiter list and the
-    /// threshold verdict is returned (the caller submits the request and
-    /// arms the retry timer).
+    /// drawn. On a miss the client joins `page`'s waiter list and tunes to
+    /// the channel [`route`] picks (the deterministic fallback shard for
+    /// pull-only pages, so every requester of a page agrees on where its
+    /// response will fly); the threshold verdict, made there with that
+    /// channel's entry of `filters`, is returned and the caller submits
+    /// the request and arms the retry timer. The tuned channel is retained
+    /// until the access completes (query it with
+    /// [`tuned_channel`](Self::tuned_channel)) so retry resends target the
+    /// same shard. One pattern draw per access, one think draw per hit.
     pub fn wake<R: Rng + ?Sized>(
         &mut self,
         client: u32,
         now: f64,
-        program: &BroadcastProgram,
-        cursor: usize,
-        rng: &mut R,
-    ) -> WakeOutcome {
-        let c = client as usize;
-        debug_assert_eq!(self.waiting_page[c], NONE, "wake of a blocked client");
-        self.stats.accesses += 1;
-        let item = self.pattern.sample(rng);
-        if self.cached(c, item) {
-            self.stats.hits += 1;
-            return WakeOutcome::Hit {
-                next_wake: now + self.think.sample(rng),
-            };
-        }
-        self.waiting_page[c] = item as u32;
-        self.waiting_since[c] = now;
-        self.waiters_next[c] = self.waiters_head[item];
-        self.waiters_head[item] = client;
-        let page = PageId(item as u32);
-        let send_request = self.threshold.should_request(program, page, cursor);
-        if send_request {
-            self.stats.requests_sent += 1;
-        } else {
-            self.stats.requests_filtered += 1;
-        }
-        WakeOutcome::Miss { page, send_request }
-    }
-
-    /// [`wake`](Self::wake) against a K-channel placement: on a miss the
-    /// client tunes to the channel minimizing its expected wait
-    /// ([`crate::tuning::best_channel`]; the deterministic
-    /// [`crate::tuning::fallback_channel`] shard for pull-only pages, so
-    /// every requester of a page agrees on where its response will fly).
-    /// The threshold verdict is made on the tuned channel's schedule with
-    /// the matching per-channel filter and cursor; pull-only misses always
-    /// request. The tuned channel is retained until the access completes
-    /// (query it with [`tuned_channel`](Self::tuned_channel)) so retry
-    /// resends target the same shard.
-    ///
-    /// Consumes exactly the same variates as [`wake`](Self::wake): one
-    /// pattern draw per access, one think draw per hit.
-    ///
-    /// # Panics
-    /// If `cursors`/`filters` are not one per channel.
-    pub fn wake_tuned<R: Rng + ?Sized>(
-        &mut self,
-        client: u32,
-        now: f64,
-        channels: &bpp_broadcast::MultiChannelProgram,
+        channels: &MultiChannelProgram,
         cursors: &[usize],
         filters: &[ThresholdFilter],
         rng: &mut R,
     ) -> WakeOutcome {
-        assert_eq!(
-            cursors.len(),
-            channels.num_channels(),
-            "one cursor per channel"
-        );
-        assert_eq!(
-            filters.len(),
-            channels.num_channels(),
-            "one filter per channel"
-        );
         let c = client as usize;
         debug_assert_eq!(self.waiting_page[c], NONE, "wake of a blocked client");
         self.stats.accesses += 1;
@@ -332,24 +279,22 @@ impl ClientArena {
         self.waiters_next[c] = self.waiters_head[item];
         self.waiters_head[item] = client;
         let page = PageId(item as u32);
-        let best = crate::tuning::best_channel(channels, cursors, page);
-        let tuned =
-            best.unwrap_or_else(|| crate::tuning::fallback_channel(page, channels.num_channels()));
-        self.tuned[c] = tuned as u32;
-        let send_request = match best {
-            Some(k) => filters[k].should_request(channels.channel(k), page, cursors[k]),
-            None => true,
-        };
-        if send_request {
+        let route = route(channels, cursors, filters, page);
+        self.tuned[c] = route.channel as u32;
+        if route.send_request {
             self.stats.requests_sent += 1;
         } else {
             self.stats.requests_filtered += 1;
         }
-        WakeOutcome::Miss { page, send_request }
+        WakeOutcome::Miss {
+            page,
+            send_request: route.send_request,
+            channel: route.channel,
+        }
     }
 
     /// The channel `client` is tuned to while blocked (`None` while
-    /// thinking, or when the fleet runs single-channel).
+    /// thinking).
     pub fn tuned_channel(&self, client: u32) -> Option<usize> {
         let t = self.tuned[client as usize];
         (t != NONE).then_some(t as usize)
@@ -457,31 +402,36 @@ impl ClientArena {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bpp_broadcast::{assignment::identity_ranking, Assignment, DiskSpec};
+    use bpp_broadcast::{assignment::identity_ranking, Assignment, BroadcastProgram, DiskSpec};
     use bpp_sim::rng::Xoshiro256pp;
     use bpp_workload::Zipf;
 
     const DB: usize = 20;
 
-    fn program() -> BroadcastProgram {
+    /// The paper's single channel: one flat program over the database.
+    fn program() -> MultiChannelProgram {
         let spec = DiskSpec::flat(DB);
         let a = Assignment::from_ranking(&identity_ranking(DB), &spec);
-        BroadcastProgram::generate(&a, DB)
+        MultiChannelProgram::single(BroadcastProgram::generate(&a, DB))
+    }
+
+    /// Wake `c` on the single channel with its cursor at slot 0 and a
+    /// pass-all filter.
+    fn wake(
+        a: &mut ClientArena,
+        c: u32,
+        now: f64,
+        p: &MultiChannelProgram,
+        rng: &mut Xoshiro256pp,
+    ) -> WakeOutcome {
+        a.wake(c, now, p, &[0], &[ThresholdFilter::pass_all()], rng)
     }
 
     fn arena(n: usize, warm: usize) -> ClientArena {
         let z = Zipf::new(DB, 0.95);
         let pattern = AccessPattern::population(&z);
         let ideal = pattern.top_items(5);
-        ClientArena::new(
-            n,
-            DB,
-            &ideal,
-            warm,
-            ThinkTime::Fixed(10.0),
-            ThresholdFilter::pass_all(),
-            pattern,
-        )
+        ClientArena::new(n, DB, &ideal, warm, ThinkTime::Fixed(10.0), pattern)
     }
 
     #[test]
@@ -492,7 +442,7 @@ mod tests {
         let mut warm = arena(1, 1);
         let mut rng = Xoshiro256pp::seed_from_u64(7);
         for _ in 0..200 {
-            if let WakeOutcome::Miss { page, .. } = warm.wake(0, 0.0, &p, 0, &mut rng) {
+            if let WakeOutcome::Miss { page, .. } = wake(&mut warm, 0, 0.0, &p, &mut rng) {
                 warm.deliver(page, 1.0, &mut rng);
             }
         }
@@ -504,7 +454,7 @@ mod tests {
         let mut rng = Xoshiro256pp::seed_from_u64(8);
         let mut acquired_ideal = false;
         for _ in 0..200 {
-            match cold.wake(0, 0.0, &p, 0, &mut rng) {
+            match wake(&mut cold, 0, 0.0, &p, &mut rng) {
                 WakeOutcome::Hit { .. } => {
                     assert!(acquired_ideal, "cold client hit before any delivery");
                 }
@@ -531,7 +481,7 @@ mod tests {
         // every distinct waited page and count completions.
         let mut waited = std::collections::BTreeSet::new();
         for c in 0..8u32 {
-            match a.wake(c, 5.0, &p, 0, &mut rng) {
+            match wake(&mut a, c, 5.0, &p, &mut rng) {
                 WakeOutcome::Miss { page, .. } => {
                     waited.insert(page.index());
                 }
@@ -583,18 +533,14 @@ mod tests {
         let pattern = AccessPattern::population(&z);
         let p = program();
         // Full-cycle threshold: every scheduled page is filtered.
-        let mut a = ClientArena::new(
-            4,
-            DB,
-            &[],
-            0,
-            ThinkTime::Fixed(1.0),
-            ThresholdFilter::from_percentage(1.0, p.major_cycle()),
-            pattern,
-        );
+        let mut a = ClientArena::new(4, DB, &[], 0, ThinkTime::Fixed(1.0), pattern);
+        let full = [ThresholdFilter::from_percentage(
+            1.0,
+            p.channel(0).major_cycle(),
+        )];
         let mut rng = Xoshiro256pp::seed_from_u64(5);
         for c in 0..4u32 {
-            match a.wake(c, 0.0, &p, 0, &mut rng) {
+            match a.wake(c, 0.0, &p, &[0], &full, &mut rng) {
                 WakeOutcome::Miss { send_request, .. } => assert!(!send_request),
                 WakeOutcome::Hit { .. } => unreachable!("empty ideal set cannot hit"),
             }
@@ -608,7 +554,7 @@ mod tests {
         let mut a = arena(1, 0);
         let p = program();
         let mut rng = Xoshiro256pp::seed_from_u64(9);
-        let WakeOutcome::Miss { page, .. } = a.wake(0, 0.0, &p, 0, &mut rng) else {
+        let WakeOutcome::Miss { page, .. } = wake(&mut a, 0, 0.0, &p, &mut rng) else {
             unreachable!("cold fleet cannot hit");
         };
         let gen = a.arm_retry(0);
@@ -624,48 +570,7 @@ mod tests {
     }
 
     #[test]
-    fn tuned_wakes_draw_like_plain_wakes_and_record_channels() {
-        use bpp_broadcast::MultiChannelProgram;
-        let p = program();
-        let band = |lo: u32, hi: u32| {
-            let pages: Vec<PageId> = (lo..hi).map(PageId).collect();
-            let spec = DiskSpec::flat(pages.len());
-            let a = Assignment::from_ranking(&pages, &spec);
-            BroadcastProgram::generate(&a, DB)
-        };
-        let channels = MultiChannelProgram::from_channels(vec![band(0, 10), band(10, 20)]);
-        let filters = vec![ThresholdFilter::pass_all(), ThresholdFilter::pass_all()];
-        let mut plain = arena(8, 0);
-        let mut tuned = arena(8, 0);
-        let mut r1 = Xoshiro256pp::seed_from_u64(21);
-        let mut r2 = Xoshiro256pp::seed_from_u64(21);
-        for round in 0..20 {
-            for c in 0..8u32 {
-                let now = round as f64;
-                let oa = plain.wake(c, now, &p, 0, &mut r1);
-                let ob = tuned.wake_tuned(c, now, &channels, &[0, 0], &filters, &mut r2);
-                match (oa, ob) {
-                    (WakeOutcome::Miss { page: pa, .. }, WakeOutcome::Miss { page: pb, .. }) => {
-                        assert_eq!(pa, pb);
-                        let k = tuned.tuned_channel(c).expect("blocked client is tuned");
-                        assert!(channels.channel(k).contains(pb));
-                        plain.deliver(pa, now + 1.0, &mut r1);
-                        tuned.deliver(pb, now + 1.0, &mut r2);
-                        assert_eq!(tuned.tuned_channel(c), None, "completion re-tunes");
-                    }
-                    (WakeOutcome::Hit { next_wake: wa }, WakeOutcome::Hit { next_wake: wb }) => {
-                        assert_eq!(wa, wb)
-                    }
-                    _ => panic!("plain and tuned wakes diverged"),
-                }
-            }
-        }
-        assert_eq!(r1.next_u64(), r2.next_u64(), "streams desynchronized");
-    }
-
-    #[test]
     fn pull_only_misses_fall_back_to_a_per_page_shard_and_always_request() {
-        use bpp_broadcast::MultiChannelProgram;
         // Channels only air pages 0..10; 10..20 are pull-only everywhere.
         let band = |lo: u32, hi: u32| {
             let pages: Vec<PageId> = (lo..hi).map(PageId).collect();
@@ -682,8 +587,11 @@ mod tests {
         let mut rng = Xoshiro256pp::seed_from_u64(33);
         let mut saw_pull_only = false;
         for round in 0..400 {
-            let out = a.wake_tuned(0, round as f64, &channels, &[0, 0], &filters, &mut rng);
-            let WakeOutcome::Miss { page, send_request } = out else {
+            let out = a.wake(0, round as f64, &channels, &[0, 0], &filters, &mut rng);
+            let WakeOutcome::Miss {
+                page, send_request, ..
+            } = out
+            else {
                 continue;
             };
             if page.index() >= 10 {
@@ -715,7 +623,7 @@ mod tests {
                     if a.waiting_on(c).is_some() {
                         continue;
                     }
-                    if let WakeOutcome::Miss { page, .. } = a.wake(c, now, &p, 0, &mut rng) {
+                    if let WakeOutcome::Miss { page, .. } = wake(&mut a, c, now, &p, &mut rng) {
                         let batch = a.deliver(page, now + 1.0, &mut rng).to_vec();
                         log.extend(batch);
                     }

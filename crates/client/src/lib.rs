@@ -48,6 +48,6 @@ pub use arena::{ClientArena, FleetStats, WakeOutcome};
 pub use measured::{BeginOutcome, McStats, MeasuredClient};
 pub use retry::{RetryPolicy, RetryState};
 pub use threshold::ThresholdFilter;
-pub use tuning::{best_channel, fallback_channel};
+pub use tuning::{best_channel, fallback_channel, route, Route};
 pub use virtual_client::{VcAccess, VirtualClient};
 pub use warmup::WarmupTracker;

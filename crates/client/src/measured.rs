@@ -3,15 +3,17 @@
 //!
 //! Lifecycle per access: think → draw a page from the (Noise-permuted) Zipf
 //! pattern → probe the cache. A hit completes instantly (response 0). On a
-//! miss the client blocks, listening to the frontchannel; if the page's next
-//! scheduled appearance is beyond the threshold (or the page is not on the
-//! schedule) it also fires a pull request at the server. Whichever slot —
-//! push or pull, its own request or another client's — first carries the
-//! page completes the access, and the page enters the cache.
+//! miss the client tunes to the channel airing the page soonest and blocks,
+//! listening there; if the page's next scheduled appearance is beyond the
+//! threshold (or the page is not on the schedule) it also fires a pull
+//! request at the server. Whichever slot — push or pull, its own request or
+//! another client's — first carries the page completes the access, and the
+//! page enters the cache.
 
 use crate::threshold::ThresholdFilter;
+use crate::tuning::route;
 use crate::warmup::WarmupTracker;
-use bpp_broadcast::{BroadcastProgram, PageId};
+use bpp_broadcast::{MultiChannelProgram, PageId};
 use bpp_cache::ReplacementPolicy;
 use bpp_sim::rng::Rng;
 use bpp_sim::Time;
@@ -31,6 +33,8 @@ pub enum BeginOutcome {
         page: PageId,
         /// True when the threshold filter lets a pull request through.
         send_request: bool,
+        /// The channel the client tuned to (see [`crate::tuning::route`]).
+        channel: usize,
     },
 }
 
@@ -79,7 +83,6 @@ pub struct MeasuredClient {
     pattern: AccessPattern,
     cache: Box<dyn ReplacementPolicy>,
     think: ThinkTime,
-    threshold: ThresholdFilter,
     state: State,
     warmup: Option<WarmupTracker>,
     stats: McStats,
@@ -87,18 +90,16 @@ pub struct MeasuredClient {
 
 impl MeasuredClient {
     /// Assemble a client. `cache` decides the replacement policy (PIX, P,
-    /// LRU, ...); `threshold` gates backchannel use.
+    /// LRU, ...).
     pub fn new(
         pattern: AccessPattern,
         cache: Box<dyn ReplacementPolicy>,
         think: ThinkTime,
-        threshold: ThresholdFilter,
     ) -> Self {
         MeasuredClient {
             pattern,
             cache,
             think,
-            threshold,
             state: State::Idle,
             warmup: None,
             stats: McStats::default(),
@@ -108,12 +109,6 @@ impl MeasuredClient {
     /// Attach a warm-up tracker observing this client's cache.
     pub fn attach_warmup(&mut self, tracker: WarmupTracker) {
         self.warmup = Some(tracker);
-    }
-
-    /// Replace the threshold filter (used by the adaptive-IPP extension,
-    /// where clients widen the threshold as the server saturates).
-    pub fn set_threshold(&mut self, threshold: ThresholdFilter) {
-        self.threshold = threshold;
     }
 
     /// The attached warm-up tracker, if any.
@@ -149,16 +144,21 @@ impl MeasuredClient {
         }
     }
 
-    /// Begin one access at time `now`. The server's schedule `cursor` is the
-    /// position of the next push slot; `program` may be empty (Pure-Pull).
+    /// Begin one access at time `now` against the broadcast `channels`
+    /// (one program for the paper's single channel; any may be empty, as
+    /// under Pure-Pull), whose next push slots are at `cursors`. On a miss
+    /// the client tunes to the channel [`route`] picks, and the threshold
+    /// is judged there with that channel's entry of `filters`. One pattern
+    /// draw per access.
     ///
     /// # Panics
     /// If the client is already blocked on a page.
     pub fn begin_access<R: Rng + ?Sized>(
         &mut self,
         now: Time,
-        program: &BroadcastProgram,
-        cursor: usize,
+        channels: &MultiChannelProgram,
+        cursors: &[usize],
+        filters: &[ThresholdFilter],
         rng: &mut R,
     ) -> BeginOutcome {
         assert!(
@@ -173,70 +173,16 @@ impl MeasuredClient {
             return BeginOutcome::Hit { page };
         }
         self.stats.misses += 1;
-        let send_request = self.threshold.should_request(program, page, cursor);
-        if send_request {
+        let route = route(channels, cursors, filters, page);
+        if route.send_request {
             self.stats.requests_sent += 1;
         }
         self.state = State::Waiting { page, since: now };
-        BeginOutcome::Miss { page, send_request }
-    }
-
-    /// [`begin_access`](Self::begin_access) against a K-channel placement:
-    /// on a miss the client tunes to the channel minimizing its expected
-    /// wait ([`crate::tuning::best_channel`]) and the threshold decision is
-    /// made on *that* channel's schedule with the matching per-channel
-    /// filter and cursor. Returns the outcome plus the tuned channel
-    /// (`None` on a hit, or when no channel airs the page — the caller
-    /// falls back to [`crate::tuning::fallback_channel`] for the request
-    /// shard, and a pull-only miss always sends a request).
-    ///
-    /// Consumes exactly the same variates as
-    /// [`begin_access`](Self::begin_access): one pattern draw per access,
-    /// so single- and multi-channel runs stay stream-aligned.
-    ///
-    /// # Panics
-    /// If the client is already blocked on a page, or `cursors`/`filters`
-    /// are not one per channel.
-    pub fn begin_access_tuned<R: Rng + ?Sized>(
-        &mut self,
-        now: Time,
-        channels: &bpp_broadcast::MultiChannelProgram,
-        cursors: &[usize],
-        filters: &[ThresholdFilter],
-        rng: &mut R,
-    ) -> (BeginOutcome, Option<usize>) {
-        assert!(
-            matches!(self.state, State::Idle),
-            "begin_access while already waiting"
-        );
-        assert_eq!(
-            cursors.len(),
-            channels.num_channels(),
-            "one cursor per channel"
-        );
-        assert_eq!(
-            filters.len(),
-            channels.num_channels(),
-            "one filter per channel"
-        );
-        self.stats.accesses += 1;
-        let item = self.pattern.sample(rng);
-        let page = PageId(item as u32);
-        if self.cache.lookup(item) {
-            self.stats.hits += 1;
-            return (BeginOutcome::Hit { page }, None);
+        BeginOutcome::Miss {
+            page,
+            send_request: route.send_request,
+            channel: route.channel,
         }
-        self.stats.misses += 1;
-        let tuned = crate::tuning::best_channel(channels, cursors, page);
-        let send_request = match tuned {
-            Some(k) => filters[k].should_request(channels.channel(k), page, cursors[k]),
-            None => true,
-        };
-        if send_request {
-            self.stats.requests_sent += 1;
-        }
-        self.state = State::Waiting { page, since: now };
-        (BeginOutcome::Miss { page, send_request }, tuned)
     }
 
     /// A page was heard on the frontchannel. If the client was blocked on
@@ -314,12 +260,30 @@ impl std::fmt::Debug for MeasuredClient {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bpp_broadcast::{assignment::identity_ranking, Assignment, DiskSpec};
+    use bpp_broadcast::{assignment::identity_ranking, Assignment, BroadcastProgram, DiskSpec};
     use bpp_cache::StaticScoreCache;
     use bpp_sim::rng::Xoshiro256pp;
     use bpp_workload::{NoisePermutation, Zipf};
 
-    fn setup(cache_cap: usize, thres: f64) -> (MeasuredClient, BroadcastProgram) {
+    /// The paper's single channel: the one-channel program and its filter,
+    /// accessed with the cursor at slot 0.
+    struct Air {
+        channels: MultiChannelProgram,
+        filters: [ThresholdFilter; 1],
+    }
+
+    impl Air {
+        fn begin(
+            &self,
+            mc: &mut MeasuredClient,
+            now: Time,
+            rng: &mut Xoshiro256pp,
+        ) -> BeginOutcome {
+            mc.begin_access(now, &self.channels, &[0], &self.filters, rng)
+        }
+    }
+
+    fn setup(cache_cap: usize, thres: f64) -> (MeasuredClient, Air) {
         let n = 7;
         let spec = DiskSpec::new(vec![1, 2, 4], vec![4, 2, 1]);
         let a = Assignment::from_ranking(&identity_ranking(n), &spec);
@@ -330,17 +294,24 @@ mod tests {
             .map(|i| program.frequency(PageId(i as u32)))
             .collect();
         let cache = StaticScoreCache::pix(cache_cap, pattern.probs(), &freqs);
-        let threshold = ThresholdFilter::from_percentage(thres, program.major_cycle());
-        let mc = MeasuredClient::new(pattern, Box::new(cache), ThinkTime::Fixed(2.0), threshold);
-        (mc, program)
+        let filter = ThresholdFilter::from_percentage(thres, program.major_cycle());
+        let mc = MeasuredClient::new(pattern, Box::new(cache), ThinkTime::Fixed(2.0));
+        let air = Air {
+            channels: MultiChannelProgram::single(program),
+            filters: [filter],
+        };
+        (mc, air)
     }
 
     #[test]
     fn miss_then_delivery_yields_response_time() {
-        let (mut mc, program) = setup(0, 0.0);
+        let (mut mc, air) = setup(0, 0.0);
         let mut rng = Xoshiro256pp::seed_from_u64(1);
-        let out = mc.begin_access(10.0, &program, 0, &mut rng);
-        let BeginOutcome::Miss { page, send_request } = out else {
+        let out = air.begin(&mut mc, 10.0, &mut rng);
+        let BeginOutcome::Miss {
+            page, send_request, ..
+        } = out
+        else {
             panic!("cache is empty; must miss");
         };
         assert!(send_request, "zero threshold requests everything");
@@ -356,11 +327,11 @@ mod tests {
 
     #[test]
     fn cached_page_hits_and_does_not_block() {
-        let (mut mc, program) = setup(7, 0.0);
+        let (mut mc, air) = setup(7, 0.0);
         let mut rng = Xoshiro256pp::seed_from_u64(2);
         // Fill the cache by running accesses and delivering.
         for _ in 0..50 {
-            match mc.begin_access(0.0, &program, 0, &mut rng) {
+            match air.begin(&mut mc, 0.0, &mut rng) {
                 BeginOutcome::Miss { page, .. } => {
                     mc.on_broadcast(0.0, page);
                 }
@@ -368,19 +339,21 @@ mod tests {
             }
         }
         // Cache holds all 7 pages now: every access hits.
-        let out = mc.begin_access(1.0, &program, 0, &mut rng);
+        let out = air.begin(&mut mc, 1.0, &mut rng);
         assert!(matches!(out, BeginOutcome::Hit { .. }));
         assert!(mc.stats().hits > 0);
     }
 
     #[test]
     fn threshold_suppresses_near_pages() {
-        let (mut mc, program) = setup(0, 1.0);
+        let (mut mc, air) = setup(0, 1.0);
         let mut rng = Xoshiro256pp::seed_from_u64(3);
         // Full threshold: nothing on the broadcast is ever requested.
         for _ in 0..20 {
-            match mc.begin_access(0.0, &program, 0, &mut rng) {
-                BeginOutcome::Miss { page, send_request } => {
+            match air.begin(&mut mc, 0.0, &mut rng) {
+                BeginOutcome::Miss {
+                    page, send_request, ..
+                } => {
                     assert!(!send_request);
                     mc.on_broadcast(0.0, page);
                 }
@@ -393,24 +366,24 @@ mod tests {
     #[test]
     #[should_panic(expected = "already waiting")]
     fn double_begin_panics() {
-        let (mut mc, program) = setup(0, 0.0);
+        let (mut mc, air) = setup(0, 0.0);
         let mut rng = Xoshiro256pp::seed_from_u64(4);
-        mc.begin_access(0.0, &program, 0, &mut rng);
-        mc.begin_access(1.0, &program, 0, &mut rng);
+        air.begin(&mut mc, 0.0, &mut rng);
+        air.begin(&mut mc, 1.0, &mut rng);
     }
 
     #[test]
     fn warmup_tracker_observes_insertions() {
-        let (mut mc, program) = setup(2, 0.0);
+        let (mut mc, air) = setup(2, 0.0);
         // Recompute the PIX ideal content exactly as setup() builds it.
         let freqs: Vec<usize> = (0..7)
-            .map(|i| program.frequency(PageId(i as u32)))
+            .map(|i| air.channels.channel(0).frequency(PageId(i as u32)))
             .collect();
         let ideal = StaticScoreCache::pix(2, mc.pattern().probs(), &freqs).ideal_content();
         mc.attach_warmup(WarmupTracker::with_fractions(7, &ideal, &[0.5, 1.0]));
         let mut rng = Xoshiro256pp::seed_from_u64(5);
         for _ in 0..200 {
-            match mc.begin_access(0.0, &program, 0, &mut rng) {
+            match air.begin(&mut mc, 0.0, &mut rng) {
                 BeginOutcome::Miss { page, .. } => {
                     mc.on_broadcast(0.0, page);
                 }
@@ -423,10 +396,10 @@ mod tests {
 
     #[test]
     fn stats_balance() {
-        let (mut mc, program) = setup(3, 0.0);
+        let (mut mc, air) = setup(3, 0.0);
         let mut rng = Xoshiro256pp::seed_from_u64(6);
         for _ in 0..100 {
-            if let BeginOutcome::Miss { page, .. } = mc.begin_access(0.0, &program, 0, &mut rng) {
+            if let BeginOutcome::Miss { page, .. } = air.begin(&mut mc, 0.0, &mut rng) {
                 mc.on_broadcast(0.0, page);
             }
         }
@@ -438,51 +411,12 @@ mod tests {
     }
 
     #[test]
-    fn tuned_access_draws_like_the_plain_path() {
-        use bpp_broadcast::MultiChannelProgram;
-        // Two identical clients on identical RNG streams: one accesses the
-        // single-channel program, the other a 2-channel split of the same
-        // universe. Pages drawn, stream positions, and outcomes agree; the
-        // tuned client additionally reports the channel airing its page.
-        let (mut plain, program) = setup(0, 0.0);
-        let (mut tuned, _) = setup(0, 0.0);
-        let band = |lo: u32, hi: u32| {
-            let pages: Vec<PageId> = (lo..hi).map(PageId).collect();
-            let spec = DiskSpec::flat(pages.len());
-            let a = Assignment::from_ranking(&pages, &spec);
-            BroadcastProgram::generate(&a, 7)
-        };
-        let channels = MultiChannelProgram::from_channels(vec![band(0, 4), band(4, 7)]);
-        let filters = vec![ThresholdFilter::pass_all(), ThresholdFilter::pass_all()];
-        let mut r1 = Xoshiro256pp::seed_from_u64(9);
-        let mut r2 = Xoshiro256pp::seed_from_u64(9);
-        for _ in 0..50 {
-            let out_a = plain.begin_access(0.0, &program, 0, &mut r1);
-            let (out_b, ch) = tuned.begin_access_tuned(0.0, &channels, &[0, 0], &filters, &mut r2);
-            match (out_a, out_b) {
-                (BeginOutcome::Miss { page: pa, .. }, BeginOutcome::Miss { page: pb, .. }) => {
-                    assert_eq!(pa, pb);
-                    let k = ch.expect("every page is on some channel");
-                    assert!(channels.channel(k).contains(pb));
-                    plain.on_broadcast(0.0, pa);
-                    tuned.on_broadcast(0.0, pb);
-                }
-                (BeginOutcome::Hit { page: pa }, BeginOutcome::Hit { page: pb }) => {
-                    assert_eq!(pa, pb)
-                }
-                _ => panic!("plain and tuned paths diverged"),
-            }
-        }
-        assert_eq!(r1.next_u64(), r2.next_u64(), "streams desynchronized");
-    }
-
-    #[test]
     fn requests_filtered_counts_threshold_swallowed_misses() {
         // Full threshold (setup ratio 1.0): every miss is filtered.
-        let (mut mc, program) = setup(0, 1.0);
+        let (mut mc, air) = setup(0, 1.0);
         let mut rng = Xoshiro256pp::seed_from_u64(7);
         for _ in 0..20 {
-            if let BeginOutcome::Miss { page, .. } = mc.begin_access(0.0, &program, 0, &mut rng) {
+            if let BeginOutcome::Miss { page, .. } = air.begin(&mut mc, 0.0, &mut rng) {
                 mc.on_broadcast(0.0, page);
             }
         }

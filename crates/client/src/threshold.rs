@@ -10,8 +10,6 @@
 //! schedule, "all non-broadcast pages pass the threshold filter and the
 //! effect is to reserve more of the backchannel capability for those pages".
 
-use bpp_broadcast::{BroadcastProgram, PageId};
-
 /// Threshold filter with a precomputed slot bound.
 #[derive(Debug, Clone, Copy)]
 pub struct ThresholdFilter {
@@ -45,10 +43,13 @@ impl ThresholdFilter {
         self.thres_slots
     }
 
-    /// Should a miss on `page` be requested over the backchannel, given the
-    /// program and the server's current schedule position?
-    pub fn should_request(&self, program: &BroadcastProgram, page: PageId, cursor: usize) -> bool {
-        match program.slots_until(page, cursor) {
+    /// Should a miss be requested over the backchannel, given how many
+    /// schedule slots away the page's next push appearance is
+    /// ([`BroadcastProgram::slots_until`] from the server's cursor)?
+    ///
+    /// [`BroadcastProgram::slots_until`]: bpp_broadcast::BroadcastProgram::slots_until
+    pub fn should_request(&self, slots_until: Option<usize>) -> bool {
+        match slots_until {
             None => true, // not on the broadcast: the backchannel is the only way
             Some(dist) => dist > self.thres_slots,
         }
@@ -58,7 +59,13 @@ impl ThresholdFilter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bpp_broadcast::{assignment::identity_ranking, Assignment, DiskSpec};
+    use bpp_broadcast::{
+        assignment::identity_ranking, Assignment, BroadcastProgram, DiskSpec, PageId,
+    };
+
+    fn requests(f: &ThresholdFilter, p: &BroadcastProgram, page: u32, cursor: usize) -> bool {
+        f.should_request(p.slots_until(PageId(page), cursor))
+    }
 
     fn program() -> BroadcastProgram {
         // Fig. 1 layout: a b d a c e a b f a c g (major cycle 12).
@@ -72,7 +79,7 @@ mod tests {
         let p = program();
         let f = ThresholdFilter::from_percentage(0.0, p.major_cycle());
         for i in 0..7 {
-            assert!(f.should_request(&p, PageId(i), 0));
+            assert!(requests(&f, &p, i, 0));
         }
     }
 
@@ -82,7 +89,7 @@ mod tests {
         let f = ThresholdFilter::from_percentage(1.0, p.major_cycle());
         for i in 0..7 {
             for cursor in 0..12 {
-                assert!(!f.should_request(&p, PageId(i), cursor));
+                assert!(!requests(&f, &p, i, cursor));
             }
         }
     }
@@ -94,12 +101,12 @@ mod tests {
         let f = ThresholdFilter::from_percentage(0.25, p.major_cycle());
         assert_eq!(f.slots(), 3);
         // At cursor 0: a is 1 slot away (<=3, filtered), g is 12 away.
-        assert!(!f.should_request(&p, PageId(0), 0));
-        assert!(f.should_request(&p, PageId(6), 0));
+        assert!(!requests(&f, &p, 0, 0));
+        assert!(requests(&f, &p, 6, 0));
         // e sits at slot 5: distance 6 from cursor 0 -> requested.
-        assert!(f.should_request(&p, PageId(4), 0));
+        assert!(requests(&f, &p, 4, 0));
         // From cursor 5 e is 1 slot away -> filtered.
-        assert!(!f.should_request(&p, PageId(4), 5));
+        assert!(!requests(&f, &p, 4, 5));
     }
 
     #[test]
@@ -109,8 +116,8 @@ mod tests {
         a.chop(2);
         let p = BroadcastProgram::generate(&a, 4);
         let f = ThresholdFilter::from_percentage(1.0, p.major_cycle());
-        assert!(f.should_request(&p, PageId(3), 0));
-        assert!(!f.should_request(&p, PageId(0), 0));
+        assert!(requests(&f, &p, 3, 0));
+        assert!(!requests(&f, &p, 0, 0));
     }
 
     #[test]

@@ -40,9 +40,8 @@ pub(crate) struct ObsState {
     /// is bandwidth charged to its disk), sampled at every slot boundary;
     /// `None` unless the `disk_share` obs knob is on.
     disk_share: Option<DiskShare>,
-    /// Per-channel instrumentation of the K-channel extension; `None`
-    /// unless `num_channels > 1`, so single-channel reports keep their
-    /// exact pre-extension key set.
+    /// Per-channel instrumentation; `None` unless `num_channels > 1`, so
+    /// single-channel reports keep the paper system's key set.
     channels: Option<ChannelObs>,
 }
 
@@ -111,9 +110,9 @@ impl ObsState {
     }
 
     /// Sample every shard's queue depth at a slot boundary.
-    pub(crate) fn on_slot_channel_depths(&mut self, now: f64, depths: &[usize]) {
+    pub(crate) fn on_slot_channel_depths(&mut self, now: f64, depths: impl Iterator<Item = usize>) {
         if let Some(ch) = &mut self.channels {
-            for (tl, &d) in ch.depth.iter_mut().zip(depths) {
+            for (tl, d) in ch.depth.iter_mut().zip(depths) {
                 tl.update(now, d as f64);
             }
         }
@@ -143,9 +142,9 @@ impl ObsState {
 
     /// Sample every channel's brownout state (1 browned out, 0 clear) at a
     /// slot boundary; a no-op when the fault-state timelines are off.
-    pub(crate) fn on_slot_channel_fault(&mut self, now: f64, states: &[f64]) {
+    pub(crate) fn on_slot_channel_fault(&mut self, now: f64, states: impl Iterator<Item = f64>) {
         if let Some(ch) = &mut self.channels {
-            for (tl, &s) in ch.fault_state.iter_mut().zip(states) {
+            for (tl, s) in ch.fault_state.iter_mut().zip(states) {
                 tl.update(now, s);
             }
         }
