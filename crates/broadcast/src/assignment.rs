@@ -12,7 +12,7 @@
 //!   altogether (they become pull-only), emptying the slowest disk first.
 
 use crate::PageId;
-use bpp_json::{field, FromJson, Json, JsonError, ToJson};
+use bpp_json::{Json, ToJson};
 
 /// Shape of a multi-disk broadcast: per-disk sizes and relative spin speeds.
 ///
@@ -28,19 +28,11 @@ pub struct DiskSpec {
 
 impl ToJson for DiskSpec {
     fn to_json(&self) -> Json {
+        let DiskSpec { sizes, rel_freqs } = self;
         Json::object([
-            ("sizes", self.sizes.to_json()),
-            ("rel_freqs", self.rel_freqs.to_json()),
+            ("sizes", sizes.to_json()),
+            ("rel_freqs", rel_freqs.to_json()),
         ])
-    }
-}
-
-impl FromJson for DiskSpec {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(DiskSpec {
-            sizes: field(v, "sizes")?,
-            rel_freqs: field(v, "rel_freqs")?,
-        })
     }
 }
 

@@ -59,13 +59,8 @@ impl PageId {
 // A page identifier serializes as its bare index (newtype convention).
 impl bpp_json::ToJson for PageId {
     fn to_json(&self) -> bpp_json::Json {
-        bpp_json::ToJson::to_json(&self.0)
-    }
-}
-
-impl bpp_json::FromJson for PageId {
-    fn from_json(v: &bpp_json::Json) -> Result<Self, bpp_json::JsonError> {
-        <u32 as bpp_json::FromJson>::from_json(v).map(PageId)
+        let PageId(index) = self;
+        bpp_json::ToJson::to_json(index)
     }
 }
 

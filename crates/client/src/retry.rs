@@ -14,7 +14,7 @@
 //! dedicated RNG stream owned by the caller, so enabling retries never
 //! perturbs the workload/mux streams and disabled retries draw nothing.
 
-use bpp_json::{field, Json, JsonError, ToJson};
+use bpp_json::{Json, ToJson};
 use bpp_sim::rng::Rng;
 
 /// Timeout/backoff parameters for pull-request retries.
@@ -87,38 +87,38 @@ impl RetryPolicy {
     /// first problem found (the core config layer folds this into its own
     /// error enum).
     pub fn validate(&self) -> Result<(), String> {
-        if !self.base_timeout.is_finite() || self.base_timeout < 0.0 {
+        let RetryPolicy {
+            max_retries,
+            base_timeout,
+            backoff_factor,
+            max_backoff,
+            jitter,
+        } = *self;
+        if !base_timeout.is_finite() || base_timeout < 0.0 {
             return Err(format!(
-                "retry base_timeout must be finite and >= 0, got {}",
-                self.base_timeout
+                "retry base_timeout must be finite and >= 0, got {base_timeout}"
             ));
         }
-        if !self.backoff_factor.is_finite() || self.backoff_factor < 1.0 {
+        if !backoff_factor.is_finite() || backoff_factor < 1.0 {
             return Err(format!(
-                "retry backoff_factor must be finite and >= 1, got {}",
-                self.backoff_factor
+                "retry backoff_factor must be finite and >= 1, got {backoff_factor}"
             ));
         }
-        if !self.max_backoff.is_finite() || self.max_backoff < 0.0 {
+        if !max_backoff.is_finite() || max_backoff < 0.0 {
             return Err(format!(
-                "retry max_backoff must be finite and >= 0, got {}",
-                self.max_backoff
+                "retry max_backoff must be finite and >= 0, got {max_backoff}"
             ));
         }
-        if !self.jitter.is_finite() || !(0.0..=1.0).contains(&self.jitter) {
-            return Err(format!(
-                "retry jitter must be in [0,1], got {}",
-                self.jitter
-            ));
+        if !jitter.is_finite() || !(0.0..=1.0).contains(&jitter) {
+            return Err(format!("retry jitter must be in [0,1], got {jitter}"));
         }
         // A run that arms five-digit retry budgets per request is a
         // misconfiguration, not an experiment: each retry costs at least
         // `base_timeout` simulated units, so 10k retries exceeds any
         // `max_sim_time` the protocol allows.
-        if self.max_retries > 10_000 {
+        if max_retries > 10_000 {
             return Err(format!(
-                "retry max_retries must be <= 10000, got {}",
-                self.max_retries
+                "retry max_retries must be <= 10000, got {max_retries}"
             ));
         }
         Ok(())
@@ -127,25 +127,20 @@ impl RetryPolicy {
 
 impl ToJson for RetryPolicy {
     fn to_json(&self) -> Json {
+        let RetryPolicy {
+            max_retries,
+            base_timeout,
+            backoff_factor,
+            max_backoff,
+            jitter,
+        } = self;
         Json::object([
-            ("max_retries", self.max_retries.to_json()),
-            ("base_timeout", self.base_timeout.to_json()),
-            ("backoff_factor", self.backoff_factor.to_json()),
-            ("max_backoff", self.max_backoff.to_json()),
-            ("jitter", self.jitter.to_json()),
+            ("max_retries", max_retries.to_json()),
+            ("base_timeout", base_timeout.to_json()),
+            ("backoff_factor", backoff_factor.to_json()),
+            ("max_backoff", max_backoff.to_json()),
+            ("jitter", jitter.to_json()),
         ])
-    }
-}
-
-impl bpp_json::FromJson for RetryPolicy {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(RetryPolicy {
-            max_retries: field(v, "max_retries")?,
-            base_timeout: field(v, "base_timeout")?,
-            backoff_factor: field(v, "backoff_factor")?,
-            max_backoff: field(v, "max_backoff")?,
-            jitter: field(v, "jitter")?,
-        })
     }
 }
 
@@ -328,9 +323,9 @@ mod tests {
 
     #[test]
     fn json_round_trip() {
-        let policy = RetryPolicy::standard();
-        let text = bpp_json::to_string(&policy);
-        let back: RetryPolicy = bpp_json::from_str(&text).unwrap();
-        assert_eq!(policy, back);
+        assert_eq!(
+            bpp_json::to_string(&RetryPolicy::standard()),
+            r#"{"max_retries":4,"base_timeout":64.0,"backoff_factor":2.0,"max_backoff":1024.0,"jitter":0.5}"#
+        );
     }
 }

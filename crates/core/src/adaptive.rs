@@ -15,7 +15,7 @@
 use crate::config::{MeasurementProtocol, SystemConfig};
 use crate::runner::SteadyStateResult;
 use crate::simulation::World;
-use bpp_json::{field, FromJson, Json, JsonError, ToJson};
+use bpp_json::{Json, ToJson};
 use bpp_server::QueueStats;
 use bpp_sim::Confidence;
 
@@ -60,33 +60,28 @@ impl Default for AdaptiveConfig {
 
 impl ToJson for AdaptiveConfig {
     fn to_json(&self) -> Json {
+        let AdaptiveConfig {
+            interval,
+            min_pull_bw,
+            max_pull_bw,
+            bw_step,
+            min_thres,
+            max_thres,
+            thres_step,
+            high_drop,
+            low_drop,
+        } = self;
         Json::object([
-            ("interval", self.interval.to_json()),
-            ("min_pull_bw", self.min_pull_bw.to_json()),
-            ("max_pull_bw", self.max_pull_bw.to_json()),
-            ("bw_step", self.bw_step.to_json()),
-            ("min_thres", self.min_thres.to_json()),
-            ("max_thres", self.max_thres.to_json()),
-            ("thres_step", self.thres_step.to_json()),
-            ("high_drop", self.high_drop.to_json()),
-            ("low_drop", self.low_drop.to_json()),
+            ("interval", interval.to_json()),
+            ("min_pull_bw", min_pull_bw.to_json()),
+            ("max_pull_bw", max_pull_bw.to_json()),
+            ("bw_step", bw_step.to_json()),
+            ("min_thres", min_thres.to_json()),
+            ("max_thres", max_thres.to_json()),
+            ("thres_step", thres_step.to_json()),
+            ("high_drop", high_drop.to_json()),
+            ("low_drop", low_drop.to_json()),
         ])
-    }
-}
-
-impl FromJson for AdaptiveConfig {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(AdaptiveConfig {
-            interval: field(v, "interval")?,
-            min_pull_bw: field(v, "min_pull_bw")?,
-            max_pull_bw: field(v, "max_pull_bw")?,
-            bw_step: field(v, "bw_step")?,
-            min_thres: field(v, "min_thres")?,
-            max_thres: field(v, "max_thres")?,
-            thres_step: field(v, "thres_step")?,
-            high_drop: field(v, "high_drop")?,
-            low_drop: field(v, "low_drop")?,
-        })
     }
 }
 

@@ -21,7 +21,7 @@ use crate::config::{MeasurementProtocol, SystemConfig};
 use crate::fault::ConservationLedger;
 use crate::runner::{collect_steady_state, SteadyStateResult};
 use crate::simulation::{Phase, World};
-use bpp_json::{field, opt_field, FromJson, Json, JsonError, ToJson};
+use bpp_json::{Json, ToJson};
 use bpp_sim::Confidence;
 
 /// One segment of a chaos timeline.
@@ -56,36 +56,40 @@ impl FaultPhase {
     }
 
     fn validate(&self, i: usize) -> Result<(), String> {
-        if !(self.duration.is_finite() && self.duration > 0.0) {
+        let FaultPhase {
+            duration,
+            broadcast_loss,
+            request_loss,
+            brownout_period,
+            brownout_duration,
+            crash_offset,
+        } = *self;
+        if !(duration.is_finite() && duration > 0.0) {
             return Err(format!(
-                "phase {i}: duration must be finite and positive, got {}",
-                self.duration
+                "phase {i}: duration must be finite and positive, got {duration}"
             ));
         }
         for (name, rate) in [
-            ("broadcast_loss", self.broadcast_loss),
-            ("request_loss", self.request_loss),
+            ("broadcast_loss", broadcast_loss),
+            ("request_loss", request_loss),
         ] {
             if !(rate.is_finite() && (0.0..=1.0).contains(&rate)) {
                 return Err(format!("phase {i}: {name} must be in [0,1], got {rate}"));
             }
         }
-        if !(self.brownout_period.is_finite() && self.brownout_period >= 0.0) {
+        if !(brownout_period.is_finite() && brownout_period >= 0.0) {
             return Err(format!(
-                "phase {i}: brownout_period must be finite and non-negative, got {}",
-                self.brownout_period
+                "phase {i}: brownout_period must be finite and non-negative, got {brownout_period}"
             ));
         }
-        if !(self.brownout_duration.is_finite()
-            && (0.0..=self.brownout_period).contains(&self.brownout_duration))
+        if !(brownout_duration.is_finite() && (0.0..=brownout_period).contains(&brownout_duration))
         {
             return Err(format!(
-                "phase {i}: brownout_duration must be in [0, brownout_period], got {}",
-                self.brownout_duration
+                "phase {i}: brownout_duration must be in [0, brownout_period], got {brownout_duration}"
             ));
         }
-        if let Some(off) = self.crash_offset {
-            if !(off.is_finite() && 0.0 <= off && off < self.duration) {
+        if let Some(off) = crash_offset {
+            if !(off.is_finite() && 0.0 <= off && off < duration) {
                 return Err(format!(
                     "phase {i}: crash_offset must be in [0, duration), got {off}"
                 ));
@@ -97,32 +101,25 @@ impl FaultPhase {
 
 impl ToJson for FaultPhase {
     fn to_json(&self) -> Json {
-        let mut obj = Json::object([
-            ("duration", self.duration.to_json()),
-            ("broadcast_loss", self.broadcast_loss.to_json()),
-            ("request_loss", self.request_loss.to_json()),
-            ("brownout_period", self.brownout_period.to_json()),
-            ("brownout_duration", self.brownout_duration.to_json()),
-        ]);
-        if let Some(off) = self.crash_offset {
-            if let Json::Obj(members) = &mut obj {
-                members.push(("crash_offset".to_string(), off.to_json()));
-            }
+        let FaultPhase {
+            duration,
+            broadcast_loss,
+            request_loss,
+            brownout_period,
+            brownout_duration,
+            crash_offset,
+        } = *self;
+        let mut members = vec![
+            ("duration", duration.to_json()),
+            ("broadcast_loss", broadcast_loss.to_json()),
+            ("request_loss", request_loss.to_json()),
+            ("brownout_period", brownout_period.to_json()),
+            ("brownout_duration", brownout_duration.to_json()),
+        ];
+        if let Some(off) = crash_offset {
+            members.push(("crash_offset", off.to_json()));
         }
-        obj
-    }
-}
-
-impl FromJson for FaultPhase {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(FaultPhase {
-            duration: field(v, "duration")?,
-            broadcast_loss: field(v, "broadcast_loss")?,
-            request_loss: field(v, "request_loss")?,
-            brownout_period: field(v, "brownout_period")?,
-            brownout_duration: field(v, "brownout_duration")?,
-            crash_offset: opt_field(v, "crash_offset")?,
-        })
+        Json::object(members)
     }
 }
 
@@ -136,10 +133,11 @@ pub struct FaultSchedule {
 impl FaultSchedule {
     /// Check the timeline for internal consistency.
     pub fn validate(&self) -> Result<(), String> {
-        if self.phases.is_empty() {
+        let FaultSchedule { phases } = self;
+        if phases.is_empty() {
             return Err("schedule must have at least one phase".to_string());
         }
-        for (i, p) in self.phases.iter().enumerate() {
+        for (i, p) in phases.iter().enumerate() {
             p.validate(i)?;
         }
         Ok(())
@@ -182,15 +180,8 @@ impl FaultSchedule {
 
 impl ToJson for FaultSchedule {
     fn to_json(&self) -> Json {
-        Json::object([("phases", self.phases.to_json())])
-    }
-}
-
-impl FromJson for FaultSchedule {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(FaultSchedule {
-            phases: field(v, "phases")?,
-        })
+        let FaultSchedule { phases } = self;
+        Json::object([("phases", phases.to_json())])
     }
 }
 
@@ -317,11 +308,18 @@ mod tests {
 
     #[test]
     fn schedule_round_trips_through_json() {
-        let s = stormy_schedule();
-        let text = bpp_json::to_string(&s);
-        let back: FaultSchedule = bpp_json::from_str(&text).expect("round trip"); // bpp-lint: allow(D3): test asserts parse success
-        assert_eq!(back, s);
-        // Offset-free phases must not serialize a crash_offset key at all.
+        let text = bpp_json::to_string(&stormy_schedule());
+        assert_eq!(
+            text,
+            concat!(
+                r#"{"phases":["#,
+                r#"{"duration":300.0,"broadcast_loss":0.0,"request_loss":0.0,"brownout_period":0.0,"brownout_duration":0.0},"#,
+                r#"{"duration":400.0,"broadcast_loss":0.1,"request_loss":0.1,"brownout_period":0.0,"brownout_duration":0.0,"crash_offset":50.0},"#,
+                r#"{"duration":300.0,"broadcast_loss":0.0,"request_loss":0.0,"brownout_period":100.0,"brownout_duration":20.0}"#,
+                "]}"
+            )
+        );
+        // Offset-free phases serialize no crash_offset key at all.
         let calm = bpp_json::to_string(&FaultPhase::calm(10.0));
         assert!(!calm.contains("crash_offset"));
     }

@@ -1,12 +1,16 @@
 //! # bpp-json — minimal JSON for an air-gapped workspace
 //!
-//! The repo's serialization needs are tiny and fixed: round-trip
-//! [`SystemConfig`]-style structs, emit result/report objects, and write
-//! bench trajectories (`BENCH_*.json`). This crate covers exactly that with
-//! a tree value type ([`Json`]), a strict recursive-descent parser, compact
-//! and pretty writers, and two conversion traits ([`ToJson`] / [`FromJson`])
-//! that structs implement by hand — no derive machinery, no external
-//! dependencies, streams and bytes stable forever.
+//! The repo's serialization needs are tiny and fixed: emit config,
+//! result and report objects, and write bench trajectories
+//! (`BENCH_*.json`). This crate covers exactly that with a tree value type
+//! ([`Json`]), compact and pretty writers, one conversion trait
+//! ([`ToJson`]) that structs implement by hand, and a strict
+//! recursive-descent parser for tools that read the emitted documents back
+//! — no derive machinery, no external dependencies, streams and bytes
+//! stable forever.
+//!
+//! Serialization is one-way: no workspace type parses itself from JSON.
+//! A config is built in code, and its JSON is a record of the run.
 //!
 //! Conventions follow what `serde_json` produced for the same types, so
 //! existing output shapes are preserved:
@@ -18,17 +22,14 @@
 //! * pretty output indents by two spaces.
 //!
 //! ```
-//! use bpp_json::{FromJson, Json, ToJson};
+//! use bpp_json::Json;
 //!
 //! let v = Json::parse(r#"{"db_size": 1000, "zipf_theta": 0.95}"#).unwrap();
-//! let n: usize = bpp_json::field(&v, "db_size").unwrap();
-//! assert_eq!(n, 1000);
+//! assert_eq!(v.get("db_size").and_then(Json::as_usize), Some(1000));
 //! assert_eq!(v.get("zipf_theta").and_then(Json::as_f64), Some(0.95));
 //! let back = bpp_json::to_string(&vec![1u64, 2, 3]);
 //! assert_eq!(back, "[1,2,3]");
 //! ```
-//!
-//! [`SystemConfig`]: https://docs.rs/bpp-core
 
 #![forbid(unsafe_code)]
 
@@ -58,18 +59,13 @@ pub enum Json {
     Obj(Vec<(String, Json)>),
 }
 
-/// Error from parsing or typed extraction.
+/// Error from parsing.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JsonError {
     msg: String,
 }
 
 impl JsonError {
-    /// Create an error with the given message.
-    pub fn new(msg: impl Into<String>) -> Self {
-        JsonError { msg: msg.into() }
-    }
-
     fn at(msg: &str, pos: usize) -> Self {
         JsonError {
             msg: format!("{msg} at byte {pos}"),
@@ -545,12 +541,6 @@ pub trait ToJson {
     fn to_json(&self) -> Json;
 }
 
-/// Types that can reconstruct themselves from a [`Json`] tree.
-pub trait FromJson: Sized {
-    /// Parse from a JSON value.
-    fn from_json(v: &Json) -> Result<Self, JsonError>;
-}
-
 /// Serialize a value compactly.
 pub fn to_string<T: ToJson + ?Sized>(value: &T) -> String {
     value.to_json().dump()
@@ -559,32 +549,6 @@ pub fn to_string<T: ToJson + ?Sized>(value: &T) -> String {
 /// Serialize a value with two-space indentation.
 pub fn to_string_pretty<T: ToJson + ?Sized>(value: &T) -> String {
     value.to_json().dump_pretty()
-}
-
-/// Parse a typed value from JSON text.
-pub fn from_str<T: FromJson>(text: &str) -> Result<T, JsonError> {
-    T::from_json(&Json::parse(text)?)
-}
-
-/// Extract a required typed member of an object (the hand-written
-/// `FromJson` impls' workhorse).
-pub fn field<T: FromJson>(v: &Json, key: &str) -> Result<T, JsonError> {
-    let member = v
-        .get(key)
-        .ok_or_else(|| JsonError::new(format!("missing field `{key}`")))?;
-    T::from_json(member).map_err(|e| JsonError::new(format!("field `{key}`: {e}")))
-}
-
-/// Extract an optional typed member of an object: `Ok(None)` when the key is
-/// absent (or explicitly `null`), an error only when the member is present
-/// but malformed. The backward-compatible way to add struct fields — old
-/// documents without the key keep parsing.
-pub fn opt_field<T: FromJson>(v: &Json, key: &str) -> Result<Option<T>, JsonError> {
-    match v.get(key) {
-        None => Ok(None),
-        Some(member) => Option::<T>::from_json(member)
-            .map_err(|e| JsonError::new(format!("field `{key}`: {e}"))),
-    }
 }
 
 impl ToJson for Json {
@@ -599,21 +563,9 @@ impl ToJson for bool {
     }
 }
 
-impl FromJson for bool {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        v.as_bool().ok_or_else(|| JsonError::new("expected bool"))
-    }
-}
-
 impl ToJson for f64 {
     fn to_json(&self) -> Json {
         Json::Float(*self)
-    }
-}
-
-impl FromJson for f64 {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        v.as_f64().ok_or_else(|| JsonError::new("expected number"))
     }
 }
 
@@ -629,25 +581,11 @@ impl ToJson for str {
     }
 }
 
-impl FromJson for String {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        v.as_str()
-            .map(str::to_string)
-            .ok_or_else(|| JsonError::new("expected string"))
-    }
-}
-
 macro_rules! int_json {
     ($($t:ty),*) => {$(
         impl ToJson for $t {
             fn to_json(&self) -> Json {
                 Json::Int(i128::from(*self))
-            }
-        }
-        impl FromJson for $t {
-            fn from_json(v: &Json) -> Result<Self, JsonError> {
-                let i = v.as_int().ok_or_else(|| JsonError::new("expected integer"))?;
-                <$t>::try_from(i).map_err(|_| JsonError::new("integer out of range"))
             }
         }
     )*};
@@ -661,25 +599,9 @@ impl ToJson for usize {
     }
 }
 
-impl FromJson for usize {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        v.as_usize().ok_or_else(|| JsonError::new("expected usize"))
-    }
-}
-
 impl<T: ToJson> ToJson for Vec<T> {
     fn to_json(&self) -> Json {
         Json::Arr(self.iter().map(ToJson::to_json).collect())
-    }
-}
-
-impl<T: FromJson> FromJson for Vec<T> {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        v.as_array()
-            .ok_or_else(|| JsonError::new("expected array"))?
-            .iter()
-            .map(T::from_json)
-            .collect()
     }
 }
 
@@ -688,16 +610,6 @@ impl<T: ToJson> ToJson for Option<T> {
         match self {
             None => Json::Null,
             Some(x) => x.to_json(),
-        }
-    }
-}
-
-impl<T: FromJson> FromJson for Option<T> {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        if v.is_null() {
-            Ok(None)
-        } else {
-            T::from_json(v).map(Some)
         }
     }
 }
@@ -808,30 +720,9 @@ mod tests {
     }
 
     #[test]
-    fn typed_field_extraction() {
-        let v = Json::parse(r#"{"n": 3, "xs": [1.5, 2.0], "name": null}"#).unwrap();
-        let n: usize = field(&v, "n").unwrap();
-        let xs: Vec<f64> = field(&v, "xs").unwrap();
-        let name: Option<String> = field(&v, "name").unwrap();
-        assert_eq!((n, xs, name), (3, vec![1.5, 2.0], None));
-        assert!(field::<usize>(&v, "missing").is_err());
-        assert!(field::<bool>(&v, "n").is_err());
-    }
-
-    #[test]
     fn vec_and_option_to_json() {
         assert_eq!(to_string(&vec![1u32, 2]), "[1,2]");
         assert_eq!(to_string(&Some(2.5f64)), "2.5");
         assert_eq!(to_string(&Option::<f64>::None), "null");
-    }
-
-    #[test]
-    fn optional_field_extraction() {
-        let v = Json::parse(r#"{"n": 3, "name": null}"#).unwrap();
-        assert_eq!(opt_field::<usize>(&v, "n").unwrap(), Some(3));
-        assert_eq!(opt_field::<usize>(&v, "missing").unwrap(), None);
-        assert_eq!(opt_field::<String>(&v, "name").unwrap(), None);
-        // Present but malformed is still an error, not None.
-        assert!(opt_field::<bool>(&v, "n").is_err());
     }
 }

@@ -1,11 +1,10 @@
-//! Cross-file workspace model for the semantic rules (D7, D8, D10).
+//! Cross-file workspace model for the semantic rules (D7, D10–D13).
 //!
 //! A [`Workspace`] owns every analyzed file (token stream + parsed items)
-//! plus the out-of-band context the semantic rules need: the DESIGN.md
-//! text (D8's documentation surface), the `results/` artifact listing and
-//! the script/workflow reference texts (D10), and name-resolution indices
-//! mapping function and type names to the **component** that defines them
-//! (D7).
+//! plus the out-of-band context the semantic rules need: the `results/`
+//! artifact listing and the script/workflow reference texts (D10), and
+//! name-resolution indices mapping function and type names to the
+//! **component** that defines them (D7).
 //!
 //! ## Components
 //!
@@ -112,8 +111,6 @@ pub struct Workspace<'a> {
     pub fn_defs: BTreeMap<String, Vec<(usize, usize)>>,
     /// struct/impl type name → components defining it.
     pub type_components: BTreeMap<String, BTreeSet<String>>,
-    /// Raw DESIGN.md text at the linted root, when present (D8).
-    pub design_md: Option<String>,
     /// `results/<name>` artifact file names at the linted root (D10).
     pub artifacts: Vec<String>,
     /// Raw text of `scripts/*` and `.github/workflows/*` at the root —
@@ -126,7 +123,6 @@ impl<'a> Workspace<'a> {
     /// in by the driver (`lint_root`) so this stays filesystem-free.
     pub fn build(
         files: &'a [Analysis],
-        design_md: Option<String>,
         artifacts: Vec<String>,
         reference_texts: Vec<String>,
     ) -> Workspace<'a> {
@@ -135,7 +131,6 @@ impl<'a> Workspace<'a> {
             fn_components: BTreeMap::new(),
             fn_defs: BTreeMap::new(),
             type_components: BTreeMap::new(),
-            design_md,
             artifacts,
             reference_texts,
         };

@@ -12,9 +12,9 @@
 //! lexer ([`lexer`]), recovers the item structure with a lightweight
 //! parser ([`parse`]), and evaluates the rule set ([`rules`], D0–D13)
 //! in two phases: single-file token rules, then cross-file semantic
-//! rules over a [`graph::Workspace`] — stream-flow, config-surface and
-//! dead-artifact analysis, plus the expression-level dataflow rules
-//! (unit inference over per-function CFGs ([`expr`], [`cfg`],
+//! rules over a [`graph::Workspace`] — stream-flow and dead-artifact
+//! analysis, plus the expression-level dataflow rules
+//! (unit inference over per-function CFGs ([`expr`], [`cfg`](mod@cfg),
 //! [`dataflow`]), ledger-bucket coverage, reset coverage). Suppressions
 //! (`// bpp-lint: allow(<rule>)` comments and a root-level
 //! `lint_allow.txt`) apply to both phases. Diagnostics are ordered
@@ -337,7 +337,7 @@ fn collect_reference_texts(root: &Path) -> Vec<String> {
 /// Lint every `.rs` file under `root`, labelling the report with
 /// `root_label` (kept verbatim so output does not depend on the machine's
 /// absolute paths). Runs both phases: single-file token rules, then the
-/// cross-file semantic rules (D7, D8, D10–D13) over the whole tree.
+/// cross-file semantic rules (D7, D10–D13) over the whole tree.
 pub fn lint_root(root: &Path, root_label: &str) -> io::Result<Report> {
     lint_root_opts(root, root_label, false)
 }
@@ -447,15 +447,13 @@ pub fn lint_root_opts(root: &Path, root_label: &str, timing: bool) -> io::Result
     let t0 = Instant::now();
     let ws = Workspace::build(
         &analyses,
-        read_optional(root, "DESIGN.md"),
         collect_artifacts(root),
         collect_reference_texts(root),
     );
     record(&mut timing, "graph", t0);
     type SemanticRule = fn(&Workspace, &mut Vec<Diagnostic>);
-    let semantic: [(&str, SemanticRule); 6] = [
+    let semantic: [(&str, SemanticRule); 5] = [
         ("D7", rules::stream_flow::d7_stream_flow),
-        ("D8", rules::config_surface::d8_config_surface),
         ("D10", rules::dead_artifacts::d10_dead_artifacts),
         ("D11", rules::unit_infer::d11_unit_inference),
         ("D12", rules::ledger::d12_ledger_coverage),

@@ -1,14 +1,14 @@
-//! The `bpp-lint` rule engine: scopes, suppressions, and rules D0–D10.
+//! The `bpp-lint` rule engine: scopes, suppressions, and rules D0–D13.
 //!
-//! Rules come in two layers. The **token rules** (D1–D6, [`tokens`]; D9,
-//! [`units`]) run over the token stream of one file at a time (see
-//! [`crate::lexer`]) and need no cross-file state. The **semantic rules**
-//! (D7 [`stream_flow`], D8 [`config_surface`], D10 [`dead_artifacts`])
-//! run over a [`crate::graph::Workspace`] built from the item structure
-//! ([`crate::parse`]) of every file, so they can follow an RNG handle
-//! across a function boundary or notice a struct field missing from a
-//! serialization surface. Either way the report order is a pure function
-//! of the sorted file list — no hashing, no filesystem order.
+//! Rules come in two layers. The **token rules** (D1–D4 and D6,
+//! [`tokens`]; D9, [`units`]) run over the token stream of one file at a
+//! time (see [`crate::lexer`]) and need no cross-file state. The
+//! **semantic rules** (D7 [`stream_flow`], D10 [`dead_artifacts`], and the
+//! dataflow rules D11–D13) run over a [`crate::graph::Workspace`] built
+//! from the item structure ([`crate::parse`]) of every file, so they can
+//! follow an RNG handle across a function boundary or notice a results
+//! artifact nothing references. Either way the report order is a pure
+//! function of the sorted file list — no hashing, no filesystem order.
 //!
 //! Each rule documents its scope and its heuristic precisely — a lexical
 //! checker cannot do type inference, so where a rule approximates (D2's
@@ -36,7 +36,6 @@
 //! (rule `D0`), so a suppression can never rot silently. `D0` cannot be
 //! suppressed.
 
-pub mod config_surface;
 pub mod dead_artifacts;
 pub mod ledger;
 pub mod reset;
@@ -83,16 +82,14 @@ pub struct Diagnostic {
 }
 
 /// The rule registry: id and one-line summary, in report order.
-pub const RULES: [(&str, &str); 14] = [
+pub const RULES: [(&str, &str); 12] = [
     ("D0", "lint integrity: lexer failures and malformed/unknown/stale suppressions"),
     ("D1", "stream-discipline: stream_rng/.named must use streams::* constants; registry unique+documented"),
     ("D2", "nondeterminism ban: Instant/SystemTime/thread spawn/HashMap-HashSet iteration in sim-affecting crates"),
     ("D3", "panic hygiene: no unwrap()/expect()/panic!() in non-test library code"),
     ("D4", "float-eq: no ==/!= against float literals; route through bpp_sim::approx"),
-    ("D5", "JSON-key drift: to_json/from_json impls in a file must use matching key sets"),
     ("D6", "every crate lib.rs must carry #![forbid(unsafe_code)]"),
     ("D7", "stream-flow: one RNG stream, one component — no shared handles, no duplicate construction sites"),
-    ("D8", "config-surface: every config field must reach ToJson, FromJson, validate(), and DESIGN.md"),
     ("D9", "alias of D11 — the token-level unit check D11's dataflow analysis supersedes"),
     ("D10", "dead artifacts: unreachable experiment grids and unreferenced results/ goldens"),
     ("D11", "unit inference: *_bu/*_count/*_ratio classes propagated through bindings, params, and returns"),
@@ -400,19 +397,18 @@ pub fn known_rule(name: &str) -> bool {
 /// ([`units::d9_unit_discipline`] stays available as a differential
 /// oracle).
 #[allow(clippy::type_complexity)]
-pub const TOKEN_RULES: [(&str, fn(&SourceFile, &mut Vec<Diagnostic>)); 7] = [
+pub const TOKEN_RULES: [(&str, fn(&SourceFile, &mut Vec<Diagnostic>)); 6] = [
     ("D1", tokens::d1_stream_discipline),
     ("D1", tokens::d1_registry),
     ("D2", tokens::d2_nondeterminism),
     ("D3", tokens::d3_panic_hygiene),
     ("D4", tokens::d4_float_eq),
-    ("D5", tokens::d5_json_key_drift),
     ("D6", tokens::d6_forbid_unsafe),
 ];
 
 /// Run every single-file rule over one file; returns raw
 /// (unsuppressed-unfiltered) diagnostics. The caller applies
-/// [`Suppressions`] and sorting. Cross-file rules (D7, D8, D10–D13) run
+/// [`Suppressions`] and sorting. Cross-file rules (D7, D10–D13) run
 /// separately over the whole workspace — see [`crate::graph`].
 pub fn check_file(f: &SourceFile) -> Vec<Diagnostic> {
     let mut out = Vec::new();

@@ -1,4 +1,4 @@
-//! Single-file token rules D1–D6.
+//! Single-file token rules D1–D4 and D6.
 //!
 //! These run over one [`SourceFile`] at a time and match flat token
 //! patterns; see the module docs in [`crate::rules`] for the engine and
@@ -358,100 +358,6 @@ fn d4_suggestion(f: &SourceFile, k: usize, op: &str) -> Option<Suggestion> {
         text: if op == "!=" { format!("!{call}") } else { call },
         span,
     })
-}
-
-/// D5: within one file, an `impl ToJson for T` and an `impl FromJson for T`
-/// must use the same set of serialized keys, catching one-sided renames.
-///
-/// Key positions, not all string literals, are compared (error messages
-/// and enum variant names must not count): on the `to_json` side a key is
-/// a string preceded by `(` and followed by `,` or `.` (the
-/// `("key", value)` / `("key".to_string(), value)` tuple conventions); on
-/// the `from_json` side it is a string between `,` and `)` (the
-/// `field(v, "key")` / `opt_field(v, "key")` accessor convention).
-pub fn d5_json_key_drift(f: &SourceFile, out: &mut Vec<Diagnostic>) {
-    // (type name) -> (to_json keys, from_json keys, line of second impl)
-    let mut to_keys: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
-    let mut from_keys: BTreeMap<String, (BTreeSet<String>, u32)> = BTreeMap::new();
-    for k in 0..f.code.len() {
-        let trait_name = f.text(k);
-        if trait_name != "ToJson" && trait_name != "FromJson" {
-            continue;
-        }
-        // Walk back over a path prefix (`bpp_json::`) to find `impl`.
-        let mut b = k;
-        while b >= 2 && f.text(b - 1) == "::" {
-            b -= 2;
-        }
-        if b == 0 || f.text(b - 1) != "impl" {
-            continue;
-        }
-        if f.text(k + 1) != "for" {
-            continue;
-        }
-        // Type name: last ident before the opening `{`.
-        let mut j = k + 2;
-        let mut ty = String::new();
-        while j < f.code.len() && f.text(j) != "{" {
-            if f.kind(j) == Some(TokenKind::Ident) {
-                ty = f.text(j).to_string();
-            }
-            j += 1;
-        }
-        if ty.is_empty() || j >= f.code.len() {
-            continue;
-        }
-        let impl_line = f.line(k);
-        // Collect string literals inside the impl block.
-        let mut depth = 1i32;
-        let mut keys = BTreeSet::new();
-        let mut m = j + 1;
-        while m < f.code.len() && depth > 0 {
-            match f.text(m) {
-                "{" => depth += 1,
-                "}" => depth -= 1,
-                _ => {
-                    if matches!(f.kind(m), Some(TokenKind::Str)) {
-                        let key_position = if trait_name == "ToJson" {
-                            m >= 1
-                                && f.text(m - 1) == "("
-                                && (f.text(m + 1) == "," || f.text(m + 1) == ".")
-                        } else {
-                            m >= 1 && f.text(m - 1) == "," && f.text(m + 1) == ")"
-                        };
-                        if key_position {
-                            let raw = f.text(m);
-                            keys.insert(raw.trim_matches('"').to_string());
-                        }
-                    }
-                }
-            }
-            m += 1;
-        }
-        if trait_name == "ToJson" {
-            to_keys.entry(ty).or_default().extend(keys);
-        } else {
-            let e = from_keys
-                .entry(ty)
-                .or_insert_with(|| (BTreeSet::new(), impl_line));
-            e.0.extend(keys);
-        }
-    }
-    for (ty, (fk, line)) in &from_keys {
-        let Some(tk) = to_keys.get(ty) else { continue };
-        let only_to: Vec<&String> = tk.difference(fk).collect();
-        let only_from: Vec<&String> = fk.difference(tk).collect();
-        if !only_to.is_empty() || !only_from.is_empty() {
-            out.push(diag(
-                f,
-                *line,
-                "D5",
-                format!(
-                    "JSON key drift for `{ty}`: to_json-only {only_to:?}, from_json-only {only_from:?}"
-                ),
-            ));
-        }
-    }
 }
 
 /// D6: each crate's `lib.rs` must carry `#![forbid(unsafe_code)]` so the

@@ -57,7 +57,8 @@ impl UnitClass {
 
 /// D9: flag `a OP b` where `a` and `b` are suffix-classified identifiers
 /// of different unit classes and `OP` is additive or comparative. Library
-/// code of [`UNIT_CRATES`] only; test regions are exempt.
+/// code of the unit crates (`sim`, `core`, `server`, `client`) only; test
+/// regions are exempt.
 pub fn d9_unit_discipline(f: &SourceFile, out: &mut Vec<Diagnostic>) {
     if !f.scope.library
         || !f

@@ -27,7 +27,7 @@ fn fixture_analysis(rel: &str) -> Analysis {
 }
 
 fn d11_over(files: &[Analysis]) -> Vec<Diagnostic> {
-    let ws = Workspace::build(files, None, Vec::new(), Vec::new());
+    let ws = Workspace::build(files, Vec::new(), Vec::new());
     let mut out = Vec::new();
     unit_infer::d11_unit_inference(&ws, &mut out);
     out
@@ -76,7 +76,7 @@ fn d11_flags_the_cross_statement_bug_d9_provably_misses() {
 #[test]
 fn d12_flags_leaky_and_double_counting_paths() {
     let files = vec![fixture_analysis("crates/server/src/queue.rs")];
-    let ws = Workspace::build(&files, None, Vec::new(), Vec::new());
+    let ws = Workspace::build(&files, Vec::new(), Vec::new());
     let mut out = Vec::new();
     ledger::d12_ledger_coverage(&ws, &mut out);
     assert!(
@@ -96,7 +96,7 @@ fn d12_flags_leaky_and_double_counting_paths() {
 #[test]
 fn d13_flags_fields_the_restart_forgets() {
     let files = vec![fixture_analysis("crates/server/src/admission.rs")];
-    let ws = Workspace::build(&files, None, Vec::new(), Vec::new());
+    let ws = Workspace::build(&files, Vec::new(), Vec::new());
     let mut out = Vec::new();
     reset::d13_reset_coverage(&ws, &mut out);
     let fields: Vec<&str> = out

@@ -4,7 +4,7 @@
 
 use bpp_lint::graph::{Analysis, Workspace};
 use bpp_lint::lexer::lex;
-use bpp_lint::rules::{config_surface, dead_artifacts, stream_flow, Diagnostic, SourceFile};
+use bpp_lint::rules::{dead_artifacts, stream_flow, Diagnostic, SourceFile};
 
 fn analysis(rel: &str, src: &str) -> Analysis {
     Analysis::new(SourceFile::new(
@@ -14,7 +14,7 @@ fn analysis(rel: &str, src: &str) -> Analysis {
 }
 
 fn ws(files: &[Analysis]) -> Workspace<'_> {
-    Workspace::build(files, None, Vec::new(), Vec::new())
+    Workspace::build(files, Vec::new(), Vec::new())
 }
 
 #[test]
@@ -119,79 +119,6 @@ fn duplicate_construction_sites_name_the_first_site() {
 }
 
 #[test]
-fn seeded_field_dropped_from_validate_fails_with_file_line_rule() {
-    // `noise` is serialized both ways but no longer validated.
-    let files = vec![analysis(
-        "crates/core/src/config.rs",
-        "pub struct FaultConfig {\n\
-         \x20   pub loss: f64,\n\
-         \x20   pub noise: f64,\n\
-         }\n\
-         impl FaultConfig {\n\
-         \x20   pub fn validate(&self) -> Result<(), String> {\n\
-         \x20       if self.loss < 0.0 { return Err(\"loss\".to_string()); }\n\
-         \x20       Ok(())\n\
-         \x20   }\n\
-         }\n\
-         impl ToJson for FaultConfig {\n\
-         \x20   fn to_json(&self) -> Json {\n\
-         \x20       Json::object([(\"loss\", self.loss.to_json()), (\"noise\", self.noise.to_json())])\n\
-         \x20   }\n\
-         }\n\
-         impl FromJson for FaultConfig {\n\
-         \x20   fn from_json(v: &Json) -> Result<Self, JsonError> {\n\
-         \x20       Ok(FaultConfig { loss: field(v, \"loss\")?, noise: field(v, \"noise\")? })\n\
-         \x20   }\n\
-         }\n",
-    )];
-    let ws = ws(&files);
-    let mut out = Vec::new();
-    config_surface::d8_config_surface(&ws, &mut out);
-    assert_eq!(
-        out.len(),
-        1,
-        "exactly the dropped field is flagged: {out:?}"
-    );
-    assert_eq!(out[0].file, "crates/core/src/config.rs");
-    assert_eq!(out[0].line, 3, "flagged at the field's declaration line");
-    assert_eq!(out[0].rule, "D8");
-    assert!(out[0].message.contains("`noise`"));
-    assert!(out[0].message.contains("validate()"));
-}
-
-#[test]
-fn string_mention_with_word_boundaries_counts_as_coverage() {
-    // `"fault.loss"` covers a field named `loss`; `"loss_x"` would not.
-    let files = vec![analysis(
-        "crates/core/src/config.rs",
-        "pub struct C { pub loss: f64 }\n\
-         impl C { pub fn validate(&self) { check(\"fault.loss\"); } }\n\
-         impl ToJson for C { fn to_json(&self) -> Json { j(\"loss\") } }\n\
-         impl FromJson for C { fn from_json(v: &Json) -> R { f(v, \"loss\") } }\n",
-    )];
-    let ws = ws(&files);
-    let mut out = Vec::new();
-    config_surface::d8_config_surface(&ws, &mut out);
-    assert_eq!(out, vec![], "dotted-path string mention must count");
-}
-
-#[test]
-fn struct_without_json_impls_is_out_of_d8_scope() {
-    let files = vec![analysis(
-        "crates/core/src/state.rs",
-        "pub struct Internal { pub scratch: f64 }\n",
-    )];
-    let ws = ws(&files);
-    let mut out = Vec::new();
-    config_surface::d8_config_surface(&ws, &mut out);
-    assert_eq!(
-        out,
-        vec![],
-        "only serialized config/report types are checked"
-    );
-}
-
-#[test]
 fn unreachable_grid_and_orphan_golden_are_flagged() {
     let files = vec![
         analysis(
@@ -207,7 +134,6 @@ fn unreachable_grid_and_orphan_golden_are_flagged() {
     ];
     let ws = Workspace::build(
         &files,
-        None,
         vec!["fig.csv".to_string(), "stale.csv".to_string()],
         Vec::new(),
     );
@@ -228,7 +154,6 @@ fn script_reference_keeps_a_golden_alive() {
     let files = vec![analysis("crates/core/src/lib.rs", "pub fn noop() {}\n")];
     let ws = Workspace::build(
         &files,
-        None,
         vec!["smoke.json".to_string()],
         vec!["cmp results/smoke.json /tmp/out.json\n".to_string()],
     );

@@ -46,7 +46,7 @@ fn multi_rule_list_still_rejects_unknown_names() {
     // The known names around it still engage.
     assert!(sup.covers("D3", 1));
     assert!(sup.covers("D4", 2));
-    assert!(!sup.covers("D5", 1));
+    assert!(!sup.covers("D6", 1));
 }
 
 #[test]

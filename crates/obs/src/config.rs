@@ -1,6 +1,6 @@
 //! Observability configuration block.
 
-use bpp_json::{field, opt_field, FromJson, Json, JsonError, ToJson};
+use bpp_json::{Json, ToJson};
 
 /// Knobs for the observability layer. Disabled by default so that every
 /// committed golden stays byte-identical; when `enabled` is false no
@@ -69,34 +69,25 @@ impl ObsConfig {
 
 impl ToJson for ObsConfig {
     fn to_json(&self) -> Json {
-        let mut obj = Json::object([
-            ("enabled", self.enabled.to_json()),
-            ("timeline_stride", self.timeline_stride.to_json()),
-            ("trace_capacity", self.trace_capacity.to_json()),
-        ]);
-        if self.mc_hit_rate {
-            if let Json::Obj(members) = &mut obj {
-                members.push(("mc_hit_rate".to_string(), self.mc_hit_rate.to_json()));
-            }
+        let ObsConfig {
+            enabled,
+            timeline_stride,
+            trace_capacity,
+            mc_hit_rate,
+            disk_share,
+        } = *self;
+        let mut members = vec![
+            ("enabled", enabled.to_json()),
+            ("timeline_stride", timeline_stride.to_json()),
+            ("trace_capacity", trace_capacity.to_json()),
+        ];
+        if mc_hit_rate {
+            members.push(("mc_hit_rate", mc_hit_rate.to_json()));
         }
-        if self.disk_share {
-            if let Json::Obj(members) = &mut obj {
-                members.push(("disk_share".to_string(), self.disk_share.to_json()));
-            }
+        if disk_share {
+            members.push(("disk_share", disk_share.to_json()));
         }
-        obj
-    }
-}
-
-impl FromJson for ObsConfig {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(ObsConfig {
-            enabled: field(v, "enabled")?,
-            timeline_stride: field(v, "timeline_stride")?,
-            trace_capacity: field(v, "trace_capacity")?,
-            mc_hit_rate: opt_field(v, "mc_hit_rate")?.unwrap_or_default(),
-            disk_share: opt_field(v, "disk_share")?.unwrap_or_default(),
-        })
+        Json::object(members)
     }
 }
 
@@ -120,11 +111,10 @@ mod tests {
             mc_hit_rate: true,
             disk_share: true,
         };
-        let text = bpp_json::to_string(&cfg);
-        assert!(text.contains("mc_hit_rate"));
-        assert!(text.contains("disk_share"));
-        let back: ObsConfig = bpp_json::from_str(&text).expect("round trip"); // bpp-lint: allow(D3): test asserts parse success
-        assert_eq!(back, cfg);
+        assert_eq!(
+            bpp_json::to_string(&cfg),
+            r#"{"enabled":true,"timeline_stride":50.0,"trace_capacity":32,"mc_hit_rate":true,"disk_share":true}"#
+        );
     }
 
     #[test]
@@ -133,11 +123,10 @@ mod tests {
             enabled: true,
             ..ObsConfig::default()
         };
-        let text = bpp_json::to_string(&cfg);
-        assert!(!text.contains("mc_hit_rate"));
-        assert!(!text.contains("disk_share"));
-        let back: ObsConfig = bpp_json::from_str(&text).expect("round trip"); // bpp-lint: allow(D3): test asserts parse success
-        assert_eq!(back, cfg);
+        assert_eq!(
+            bpp_json::to_string(&cfg),
+            r#"{"enabled":true,"timeline_stride":100.0,"trace_capacity":256}"#
+        );
     }
 
     #[test]

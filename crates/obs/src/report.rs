@@ -10,7 +10,7 @@ use crate::trace::TraceRing;
 /// registry, a set of named (sealed) timelines, and the trace ring.
 ///
 /// Serialize-only by design — a report is an *output* of a simulation, never
-/// an input, so there is deliberately no `FromJson`. Timelines are stored as
+/// an input. Timelines are stored as
 /// an ordered `Vec` of `(name, series)` pairs; producers push them in a
 /// fixed order so the JSON is stable.
 #[derive(Debug, Clone, Default, PartialEq)]

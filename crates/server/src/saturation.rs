@@ -21,7 +21,7 @@
 //! The detector draws no randomness at all: given the same queue-length
 //! trace it makes the same decisions, preserving bitwise reproducibility.
 
-use bpp_json::{field, Json, JsonError, ToJson};
+use bpp_json::{Json, ToJson};
 use bpp_sim::Ewma;
 
 /// When and how hard to shed pull bandwidth under queue pressure.
@@ -79,34 +79,33 @@ impl SaturationPolicy {
     /// Check the parameters, returning a human-readable description of the
     /// first problem found. A disabled policy is always valid.
     pub fn validate(&self) -> Result<(), String> {
+        let SaturationPolicy {
+            on_occupancy,
+            off_occupancy,
+            shed_to,
+            smoothing,
+        } = *self;
         if !self.enabled() {
             return Ok(());
         }
-        if !self.on_occupancy.is_finite() || self.on_occupancy > 1.0 {
+        if !on_occupancy.is_finite() || on_occupancy > 1.0 {
             return Err(format!(
-                "saturation on_occupancy must be in (0,1], got {}",
-                self.on_occupancy
+                "saturation on_occupancy must be in (0,1], got {on_occupancy}"
             ));
         }
-        if !self.off_occupancy.is_finite()
-            || self.off_occupancy < 0.0
-            || self.off_occupancy >= self.on_occupancy
-        {
+        if !off_occupancy.is_finite() || off_occupancy < 0.0 || off_occupancy >= on_occupancy {
             return Err(format!(
-                "saturation off_occupancy must be in [0, on_occupancy), got {} (on = {})",
-                self.off_occupancy, self.on_occupancy
+                "saturation off_occupancy must be in [0, on_occupancy), got {off_occupancy} (on = {on_occupancy})"
             ));
         }
-        if !self.shed_to.is_finite() || !(0.0..=1.0).contains(&self.shed_to) {
+        if !shed_to.is_finite() || !(0.0..=1.0).contains(&shed_to) {
             return Err(format!(
-                "saturation shed_to must be in [0,1], got {}",
-                self.shed_to
+                "saturation shed_to must be in [0,1], got {shed_to}"
             ));
         }
-        if !self.smoothing.is_finite() || self.smoothing <= 0.0 || self.smoothing > 1.0 {
+        if !smoothing.is_finite() || smoothing <= 0.0 || smoothing > 1.0 {
             return Err(format!(
-                "saturation smoothing must be in (0,1], got {}",
-                self.smoothing
+                "saturation smoothing must be in (0,1], got {smoothing}"
             ));
         }
         Ok(())
@@ -115,23 +114,18 @@ impl SaturationPolicy {
 
 impl ToJson for SaturationPolicy {
     fn to_json(&self) -> Json {
+        let SaturationPolicy {
+            on_occupancy,
+            off_occupancy,
+            shed_to,
+            smoothing,
+        } = self;
         Json::object([
-            ("on_occupancy", self.on_occupancy.to_json()),
-            ("off_occupancy", self.off_occupancy.to_json()),
-            ("shed_to", self.shed_to.to_json()),
-            ("smoothing", self.smoothing.to_json()),
+            ("on_occupancy", on_occupancy.to_json()),
+            ("off_occupancy", off_occupancy.to_json()),
+            ("shed_to", shed_to.to_json()),
+            ("smoothing", smoothing.to_json()),
         ])
-    }
-}
-
-impl bpp_json::FromJson for SaturationPolicy {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(SaturationPolicy {
-            on_occupancy: field(v, "on_occupancy")?,
-            off_occupancy: field(v, "off_occupancy")?,
-            shed_to: field(v, "shed_to")?,
-            smoothing: field(v, "smoothing")?,
-        })
     }
 }
 
@@ -318,9 +312,9 @@ mod tests {
 
     #[test]
     fn json_round_trip() {
-        let policy = SaturationPolicy::standard();
-        let text = bpp_json::to_string(&policy);
-        let back: SaturationPolicy = bpp_json::from_str(&text).unwrap();
-        assert_eq!(policy, back);
+        assert_eq!(
+            bpp_json::to_string(&SaturationPolicy::standard()),
+            r#"{"on_occupancy":0.9,"off_occupancy":0.5,"shed_to":0.0,"smoothing":0.05}"#
+        );
     }
 }

@@ -1,5 +1,5 @@
 #!/usr/bin/env sh
-# Full offline CI gate: build, test, lint, format, fault-model golden check.
+# Full offline CI gate: build, test, lint, docs, format, fault-model golden check.
 #
 # `--frozen` forbids both network access and lockfile changes, proving the
 # workspace builds with zero external dependencies from a cold checkout.
@@ -13,6 +13,8 @@ cargo test -q --frozen
 # gate on it explicitly so a filtered/partial test invocation can't skip it.
 cargo test -q --frozen -p bpp-core --test faults
 cargo clippy --all-targets --frozen -- -D warnings
+# Rustdoc gate: a dangling or ambiguous intra-doc link fails the build.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --frozen
 
 # The benchmark (perfbench/, a package of its own outside the workspace)
 # calls the public experiment API; its smoke test fails the gate when a

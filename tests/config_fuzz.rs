@@ -9,8 +9,9 @@
 
 // bpp-lint: allow-file(D1): property cases derive per-case RNG streams from the case index
 use bpp_core::{
-    run_steady_state, Algorithm, CachePolicy, ClientPopulation, FaultConfig, MeasurementProtocol,
-    ObsConfig, QueueDiscipline, SystemConfig,
+    run_steady_state, AdmissionConfig, Algorithm, CachePolicy, ClientPopulation, CrashConfig,
+    FaultConfig, MeasurementProtocol, ObsConfig, OverflowPolicy, QueueDiscipline, RetryPolicy,
+    SaturationPolicy, SystemConfig,
 };
 use bpp_sim::rng::{stream_rng, Rng};
 
@@ -18,7 +19,10 @@ const SEED: u64 = 0x5EED_B0DC;
 const CASES: u64 = 24;
 
 /// Generator: one configuration spanning algorithms, cache policies, skew,
-/// load, chop fractions, disciplines, prefetch and update churn.
+/// load, chop fractions, disciplines, prefetch, update churn, every fault
+/// knob and every observability toggle. `FaultConfig`, `CrashConfig` and
+/// `ObsConfig` are written as exhaustive literals, so a new knob does not
+/// compile until it gets a range here.
 fn gen_config(case: u64) -> SystemConfig {
     let mut rng = stream_rng(SEED, case);
     let algorithm = match rng.random_range(0..3) {
@@ -49,24 +53,51 @@ fn gen_config(case: u64) -> SystemConfig {
     };
     let pf = rng.random_bool(0.5);
     let upd = [0.0, 0.02, 0.2][rng.random_range(0..3)];
-    // A third of the cases run faultless, a third with symmetric channel
-    // loss (retries + degradation on), a third add server brownouts too.
-    let fault = match rng.random_range(0..3) {
-        0 => FaultConfig::none(),
-        1 => FaultConfig::lossy([0.05, 0.2][rng.random_range(0..2)]),
-        _ => FaultConfig {
-            brownout_period: 500.0,
-            brownout_duration: 50.0,
-            ..FaultConfig::lossy(0.1)
-        },
+    // A third of the cases run faultless; the rest draw each fault knob
+    // on its own: symmetric channel loss, brownouts, the overflow policy,
+    // retries, degradation, server crashes and admission control.
+    let fault = if rng.random_range(0..3) == 0 {
+        FaultConfig::none()
+    } else {
+        let loss = [0.0, 0.05, 0.2][rng.random_range(0..3)];
+        let brownouts = rng.random_bool(0.5);
+        FaultConfig {
+            broadcast_loss: loss,
+            request_loss: loss,
+            brownout_period: if brownouts { 500.0 } else { 0.0 },
+            brownout_duration: if brownouts { 50.0 } else { 0.0 },
+            overflow: if rng.random_bool(0.5) {
+                OverflowPolicy::DropNewest
+            } else {
+                OverflowPolicy::DropOldest
+            },
+            retry: if rng.random_bool(0.75) {
+                RetryPolicy::standard()
+            } else {
+                RetryPolicy::disabled()
+            },
+            degrade: if rng.random_bool(0.5) {
+                SaturationPolicy::standard()
+            } else {
+                SaturationPolicy::disabled()
+            },
+            crash: gen_crash(&mut rng),
+            admission: if rng.random_bool(0.5) {
+                AdmissionConfig::standard()
+            } else {
+                AdmissionConfig::disabled()
+            },
+        }
     };
 
     // Half the cases run with the observability layer on: it draws no
     // randomness and must not perturb any invariant checked below.
     let obs = ObsConfig {
         enabled: rng.random_bool(0.5),
-        trace_capacity: 64,
-        ..ObsConfig::default()
+        timeline_stride: 1.0 + rng.random::<f64>() * 199.0,
+        trace_capacity: rng.random_range(0..128) as u64,
+        mc_hit_rate: rng.random_bool(0.5),
+        disk_share: rng.random_bool(0.5),
     };
 
     // A quarter of the cases replace the Virtual Client with a real arena
@@ -113,6 +144,28 @@ fn gen_config(case: u64) -> SystemConfig {
     }
 }
 
+/// Crash model: a third of the draws never crash, a third crash at
+/// exponential intervals (`mtbf`), a third on an explicit schedule.
+fn gen_crash(rng: &mut impl Rng) -> CrashConfig {
+    let mode = rng.random_range(0..3);
+    let first = rng.random::<f64>() * 2000.0;
+    CrashConfig {
+        mtbf: if mode == 1 {
+            500.0 + rng.random::<f64>() * 5000.0
+        } else {
+            0.0
+        },
+        downtime: 1.0 + rng.random::<f64>() * 100.0,
+        schedule: if mode == 2 {
+            vec![first, first + 1000.0, first + 5000.0]
+        } else {
+            Vec::new()
+        },
+        reconnect_jitter: rng.random::<f64>(),
+        recovery_epsilon: rng.random::<f64>() * 0.2,
+    }
+}
+
 #[test]
 fn any_valid_config_runs_to_completion() {
     for case in 0..CASES {
@@ -137,9 +190,19 @@ fn any_valid_config_runs_to_completion() {
         assert!((0.0..=1.0).contains(&r.drop_rate), "case {case}");
         assert!(r.drop_rate <= r.ignore_rate + 1e-12, "case {case}");
         // Slot conservation: every broadcast unit carries one slot per
-        // channel (K channels = K-fold bandwidth).
-        let total = r.slots.push_pages + r.slots.pull_pages + r.slots.empty + r.slots.idle;
+        // channel (K channels = K-fold bandwidth). A unit the server spends
+        // down silences every channel but counts one `down_slots`.
         let k = cfg.num_channels as f64;
+        let down_slots = r
+            .fault
+            .as_ref()
+            .and_then(|f| f.crash.as_ref())
+            .map_or(0, |c| c.down_slots);
+        let total = r.slots.push_pages
+            + r.slots.pull_pages
+            + r.slots.empty
+            + r.slots.idle
+            + cfg.num_channels as u64 * down_slots;
         assert!((total as f64 - k * r.sim_time).abs() <= k, "case {case}");
         // Algorithm bandwidth invariants.
         match cfg.algorithm {
