@@ -1,6 +1,6 @@
 //! Microbenchmarks for the cache policies under a Zipf trace.
 
-#![allow(missing_docs)]
+#![allow(missing_docs, reason = "bench harness binaries have no public API")]
 
 use bpp_bench::Group;
 use bpp_cache::{LfuCache, LruCache, ReplacementPolicy, StaticScoreCache};

@@ -2,7 +2,7 @@
 //! (with and without the observability probe), scheduler churn, and the
 //! tombstone drain inside `run_until` / `peek_live`.
 
-#![allow(missing_docs)]
+#![allow(missing_docs, reason = "bench harness binaries have no public API")]
 
 use bpp_core::{Algorithm, ClientPopulation, MeasurementProtocol, SystemConfig, World};
 use bpp_sim::{Engine, EngineObs, Model, Scheduler, Time};

@@ -2,7 +2,7 @@
 //! time-weighted timeline update, trace-ring push) and the end-to-end
 //! overhead of running a simulation with the obs layer on vs. off.
 
-#![allow(missing_docs)]
+#![allow(missing_docs, reason = "bench harness binaries have no public API")]
 
 use bpp_core::{Algorithm, MeasurementProtocol, SystemConfig, World};
 use bpp_obs::{Metrics, Timeline, TraceRing};

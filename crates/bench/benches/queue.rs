@@ -1,6 +1,6 @@
 //! Microbenchmarks for the server request queue.
 
-#![allow(missing_docs)]
+#![allow(missing_docs, reason = "bench harness binaries have no public API")]
 
 use bpp_bench::Group;
 use bpp_broadcast::PageId;

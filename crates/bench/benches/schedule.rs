@@ -1,7 +1,7 @@
 //! Microbenchmarks for broadcast-program construction and schedule queries
 //! (the per-slot hot path of the simulator).
 
-#![allow(missing_docs)]
+#![allow(missing_docs, reason = "bench harness binaries have no public API")]
 
 use bpp_bench::Group;
 use bpp_broadcast::{assignment::identity_ranking, Assignment, BroadcastProgram, DiskSpec, PageId};

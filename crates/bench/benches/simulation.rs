@@ -1,7 +1,7 @@
 //! End-to-end benchmark: simulated broadcast slots per second for each
 //! algorithm at a heavy load point (ThinkTimeRatio 100).
 
-#![allow(missing_docs)]
+#![allow(missing_docs, reason = "bench harness binaries have no public API")]
 
 use bpp_bench::Group;
 use bpp_core::{Algorithm, MeasurementProtocol, SystemConfig, World};

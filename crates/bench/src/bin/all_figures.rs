@@ -8,6 +8,9 @@
 //! cargo run --release -p bpp-bench --bin all_figures -- --quick # smoke run
 //! ```
 
+#![expect(clippy::disallowed_types, reason = "times the figure run")]
+#![expect(clippy::expect_used, reason = "abort when output is unwritable")]
+
 use bpp_bench::{drops_table, response_table, Opts};
 use bpp_core::experiments::{fig3a, fig3b, fig4, fig5a, fig5b, fig6, fig7, fig8, Figure};
 use std::fs;

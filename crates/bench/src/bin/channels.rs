@@ -12,6 +12,8 @@
 //! `broadcast.ch<k>.*` timelines in its `obs` section); `scripts/ci.sh`
 //! compares the output byte-for-byte against `results/channels_smoke.json`.
 
+#![expect(clippy::expect_used, reason = "abort on a broken run invariant")]
+
 use bpp_bench::{emit, Opts};
 use bpp_core::experiments::channel_sweep;
 use bpp_core::report::{fmt_pct, fmt_units, Table};

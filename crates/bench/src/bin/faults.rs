@@ -9,6 +9,8 @@
 //! `scripts/ci.sh` compares the output byte-for-byte against
 //! `results/fault_smoke.json`.
 
+#![expect(clippy::expect_used, reason = "abort on a broken run invariant")]
+
 use bpp_bench::{emit, Opts};
 use bpp_core::experiments::loss_sweep;
 use bpp_core::report::{fmt_pct, fmt_units, Table};

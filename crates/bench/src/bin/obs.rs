@@ -11,6 +11,8 @@
 //! `obs` section); `scripts/ci.sh` compares the output byte-for-byte
 //! against `results/obs_smoke.json`.
 
+#![expect(clippy::expect_used, reason = "abort on a broken run invariant")]
+
 use bpp_bench::Opts;
 use bpp_core::report::{fmt_units, Table};
 use bpp_core::{run_steady_state, Algorithm, FaultConfig, MeasurementProtocol, SystemConfig};
@@ -103,7 +105,6 @@ fn main() {
     cfg.fault = FaultConfig::lossy(0.10);
     cfg.obs.enabled = true;
     let r = run_steady_state(&cfg, &opts.protocol());
-    // bpp-lint: allow(D3): cfg.obs.enabled was just set, so the report is always present
     let report = r.obs.as_ref().expect("obs layer enabled");
 
     println!("{}", counters_table(report).render());

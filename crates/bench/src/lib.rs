@@ -10,7 +10,7 @@
 //! * `--small`   run on the scaled-down test system (100 pages) instead of
 //!   the paper's 1000-page configuration.
 
-#![forbid(unsafe_code)]
+#![expect(clippy::disallowed_types, reason = "benchmarks need a wall clock")]
 
 pub mod micro;
 

@@ -79,6 +79,10 @@ pub fn expected_wait(ranked_probs: &[f64], sizes: &[usize], freqs: &[u32]) -> f6
 /// # Panics
 /// If `num_disks` is 0, exceeds the page count or `max_freq`, or any
 /// probability is negative.
+#[expect(
+    clippy::expect_used,
+    reason = "the candidate set iterated above is statically non-empty"
+)]
 pub fn design_disks(ranked_probs: &[f64], num_disks: usize, max_freq: u32) -> DiskDesign {
     let n = ranked_probs.len();
     assert!(num_disks >= 1, "need at least one disk");
@@ -111,7 +115,6 @@ pub fn design_disks(ranked_probs: &[f64], num_disks: usize, max_freq: u32) -> Di
             }
         }
     });
-    // bpp-lint: allow(D3): the candidate set iterated above is statically non-empty
     best.expect("at least one frequency vector exists")
 }
 

@@ -164,6 +164,10 @@ impl IndexedProgram {
                 let probe_end = a + 1;
                 let idx_start = probe_end + next_index[probe_end % c];
                 let idx_end = idx_start + self.index_size;
+                #[expect(
+                    clippy::expect_used,
+                    reason = "guarded by the occ.is_empty() continue above"
+                )]
                 let target = occ
                     .iter()
                     .map(|&o| {
@@ -174,7 +178,6 @@ impl IndexedProgram {
                         t
                     })
                     .min()
-                    // bpp-lint: allow(D3): guarded by the occ.is_empty() continue above
                     .expect("non-empty occurrences");
                 sum += (target + 1 - a) as f64;
             }

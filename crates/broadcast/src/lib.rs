@@ -29,8 +29,6 @@
 //! per-page broadcast frequency (the `x` in the PIX cache policy), and
 //! closed-form expected delays (the analytic comparator).
 
-#![forbid(unsafe_code)]
-
 pub mod analysis;
 pub mod assignment;
 pub mod design;

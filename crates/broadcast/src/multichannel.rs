@@ -119,6 +119,10 @@ impl MultiChannelProgram {
     ///
     /// Panics when `num_channels` is zero or an access set names a page
     /// outside `0..db_size`.
+    #[expect(
+        clippy::expect_used,
+        reason = "defense in depth — reaching this is a generator bug, not a runtime condition"
+    )]
     pub fn generate(
         assignment: &Assignment,
         db_size: usize,
@@ -131,7 +135,7 @@ impl MultiChannelProgram {
                 assert!(
                     p.index() < db_size,
                     "access set {si} page {p} outside the {db_size}-page universe"
-                ); // bpp-lint: allow(D3): documented panic — malformed inputs must not generate a placement
+                );
             }
         }
         if num_channels == 1 {
@@ -189,7 +193,6 @@ impl MultiChannelProgram {
             })
             .collect();
         Self::from_channels_checked(channels, access_sets)
-            // bpp-lint: allow(D3): defense in depth — reaching this is a generator bug, not a runtime condition
             .expect("component-confined placement is conflict-free by construction")
     }
 
@@ -225,8 +228,11 @@ impl MultiChannelProgram {
     /// [`checked_aligned_cycle`](Self::checked_aligned_cycle) for the
     /// fallible form). Such a placement cannot be scanned for conflicts —
     /// and no client could tune to it either.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented panic; checked_aligned_cycle is the recoverable form"
+    )]
     pub fn aligned_cycle(&self) -> usize {
-        // bpp-lint: allow(D3): documented panic; checked_aligned_cycle is the recoverable form
         self.checked_aligned_cycle().expect(
             "aligned super-cycle overflows usize — coprime channel cycles this long are untunable",
         )
@@ -276,7 +282,7 @@ impl MultiChannelProgram {
                     p.index() < self.db_size,
                     "access set {si} page {p} outside the {}-page universe",
                     self.db_size
-                ); // bpp-lint: allow(D3): documented panic — a malformed access set must not verify clean
+                );
             }
         }
         let live: Vec<(usize, &BroadcastProgram)> = self

@@ -254,13 +254,17 @@ impl BroadcastProgram {
     /// # Panics
     ///
     /// Panics when `page` is not on the broadcast (a V0 violation upstream).
+    #[expect(
+        clippy::expect_used,
+        reason = "membership is the V0-verified coverage invariant"
+    )]
     pub fn slots_until_present(&self, page: PageId, cursor: usize) -> usize {
         debug_assert!(
             self.contains(page),
             "{page} is not on the broadcast — V0 coverage guarantees broadcast membership"
         );
         self.slots_until(page, cursor)
-            .expect("page is on the broadcast (bpp-verify V0 coverage)") // bpp-lint: allow(D3): membership is the V0-verified coverage invariant
+            .expect("page is on the broadcast (bpp-verify V0 coverage)")
     }
 
     /// Expected number of push slots (inclusive) a client arriving at a
@@ -310,8 +314,12 @@ pub(crate) fn checked_lcm(a: u64, b: u64) -> Option<u64> {
     (a / gcd(a, b)).checked_mul(b)
 }
 
+#[expect(
+    clippy::expect_used,
+    reason = "chunk-count folds over disk frequencies are tiny; overflow here means a nonsensical spec and must not wrap silently"
+)]
 pub(crate) fn lcm(a: u64, b: u64) -> u64 {
-    checked_lcm(a, b).expect("lcm overflows u64") // bpp-lint: allow(D3): chunk-count folds over disk frequencies are tiny; overflow here means a nonsensical spec and must not wrap silently
+    checked_lcm(a, b).expect("lcm overflows u64")
 }
 
 #[cfg(test)]

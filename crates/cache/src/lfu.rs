@@ -75,7 +75,7 @@ impl ReplacementPolicy for LfuCache {
             return None;
         }
         let evicted = if self.state.len() == self.capacity {
-            // bpp-lint: allow(D3): reached only when the cache is full, so the order set is non-empty
+            #[expect(clippy::expect_used, reason = "a full cache has a non-empty order set")]
             let &(c, s, victim) = self.order.first().expect("full cache non-empty");
             self.order.remove(&(c, s, victim));
             self.state.remove(&victim);

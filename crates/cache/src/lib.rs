@@ -18,8 +18,6 @@
 //! Items are dense `usize` indexes (database page numbers); policies are
 //! deliberately domain-free so they can be tested in isolation.
 
-#![forbid(unsafe_code)]
-
 pub mod lfu;
 pub mod lru;
 pub mod policy;

@@ -75,7 +75,7 @@ impl ReplacementPolicy for LruCache {
             return None;
         }
         let evicted = if self.stamp_of.len() == self.capacity {
-            // bpp-lint: allow(D3): reached only when the cache is full, so the age set is non-empty
+            #[expect(clippy::expect_used, reason = "a full cache has a non-empty age set")]
             let &(stamp, victim) = self.by_age.first().expect("full cache non-empty");
             self.by_age.remove(&(stamp, victim));
             self.stamp_of.remove(&victim);

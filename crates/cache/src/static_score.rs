@@ -33,10 +33,13 @@ impl PartialOrd for Entry {
 }
 
 impl Ord for Entry {
+    #[expect(
+        clippy::expect_used,
+        reason = "scores are validated finite at construction"
+    )]
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         self.score
             .partial_cmp(&other.score)
-            // bpp-lint: allow(D3): scores are validated finite at construction
             .expect("scores are finite")
             .then_with(|| self.item.cmp(&other.item))
     }
@@ -171,10 +174,10 @@ impl ReplacementPolicy for StaticScoreCache {
             self.stats.insertions += 1;
             return None;
         }
+        #[expect(clippy::expect_used, reason = "a full cache has a minimum")]
         let min = *self
             .ordered
             .first()
-            // bpp-lint: allow(D3): reached only when the cache is full, so a minimum exists
             .expect("cache is full, hence non-empty");
         if entry <= min {
             // Incoming item is the lowest-valued candidate: do not admit.

@@ -20,8 +20,6 @@
 //! the [`WarmupTracker`] (when did the cache first contain X% of its ideal
 //! content — Figure 4's metric).
 
-#![forbid(unsafe_code)]
-
 pub mod arena;
 pub mod measured;
 pub mod retry;

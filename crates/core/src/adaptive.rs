@@ -230,7 +230,10 @@ pub fn run_adaptive(
     let w = engine.model();
     w.conservation_ledger().assert_clean();
     let bm = w.responses();
-    // bpp-lint: allow(D3): callers reach this only on worlds built with an adaptive controller
+    #[expect(
+        clippy::expect_used,
+        reason = "callers reach this only on worlds built with an adaptive controller"
+    )]
     let ctrl = w.adaptive().expect("adaptive enabled");
     let converged = bm.converged(Confidence::P95, proto.rel_precision, proto.min_batches);
     AdaptiveResult {

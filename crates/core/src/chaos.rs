@@ -217,13 +217,16 @@ impl ToJson for ChaosResult {
 ///
 /// Panics on an invalid schedule/config, and — the auditor — on any
 /// conservation violation at the end of the run.
+#[expect(
+    clippy::panic,
+    reason = "the documented panicking contract, matching assert_valid"
+)]
 pub fn run_chaos(
     cfg: &SystemConfig,
     proto: &MeasurementProtocol,
     schedule: &FaultSchedule,
 ) -> ChaosResult {
     if let Err(e) = schedule.validate() {
-        // bpp-lint: allow(D3): the documented panicking contract, matching assert_valid
         panic!("invalid FaultSchedule: {e}");
     }
     let mut cfg = cfg.clone();

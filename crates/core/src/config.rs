@@ -969,9 +969,12 @@ impl SystemConfig {
     /// [`validate`](SystemConfig::validate), but panic with the joined
     /// violation list. For internal call sites (e.g. `World::build`) whose
     /// contract is "caller passes a valid config".
+    #[expect(
+        clippy::panic,
+        reason = "assert_valid is the documented panicking twin of validate()"
+    )]
     pub fn assert_valid(&self) {
         if let Err(errs) = self.validate() {
-            // bpp-lint: allow(D3): assert_valid is the documented panicking twin of validate()
             panic!("invalid SystemConfig: {errs}");
         }
     }

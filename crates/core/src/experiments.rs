@@ -101,6 +101,12 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// preserving order. Workers take the next unclaimed index, so dispatch is
 /// in input order. Each call runs under `catch_unwind`: a panicking item
 /// yields its payload as `Err` and the rest of the batch completes.
+#[expect(
+    clippy::expect_used,
+    reason = "lock poisoning is impossible: worker closures catch_unwind around the only \
+              panic source; thread::scope joins every worker before returning, so the Mutex \
+              is free; the work-stealing loop covers every index exactly once"
+)]
 fn par_map<T: Sync, R: Send>(
     items: &[T],
     f: impl Fn(&T) -> R + Sync,
@@ -115,24 +121,25 @@ fn par_map<T: Sync, R: Send>(
         .min(n.max(1));
     std::thread::scope(|scope| {
         for _ in 0..workers {
-            // bpp-lint: allow(D2): deterministic fan-out over independent seeded cells; results are joined in input order
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "deterministic fan-out over independent seeded cells; results are \
+                          joined in input order"
+            )]
             scope.spawn(|| loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
                 if i >= n {
                     break;
                 }
                 let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&items[i])));
-                // bpp-lint: allow(D3): lock poisoning is impossible: worker closures catch_unwind around the only panic source
                 results.lock().expect("no panics hold the lock")[i] = Some(r);
             });
         }
     });
     results
         .into_inner()
-        // bpp-lint: allow(D3): thread::scope joins every worker before returning, so the Mutex is free
         .expect("scope joined all workers")
         .into_iter()
-        // bpp-lint: allow(D3): the work-stealing loop covers every index exactly once
         .map(|r| r.expect("every index was filled"))
         .collect()
 }

@@ -38,8 +38,6 @@
 //! evaluation (see DESIGN.md for the experiment index), and [`analytic`]
 //! provides closed-form cross-checks.
 
-#![forbid(unsafe_code)]
-
 pub mod adaptive;
 pub mod analytic;
 pub mod chaos;

@@ -368,7 +368,10 @@ pub fn run_warmup(cfg: &SystemConfig, protocol: &MeasurementProtocol) -> WarmupR
     engine.run_while(|w| !w.done());
     let w = engine.model();
     w.conservation_ledger().assert_clean();
-    // bpp-lint: allow(D3): run_warmup builds the world in warmup mode, which always attaches a tracker
+    #[expect(
+        clippy::expect_used,
+        reason = "run_warmup builds the world in warmup mode, which always attaches a tracker"
+    )]
     let tracker = w.mc().warmup().expect("warmup world has a tracker");
     WarmupResult {
         fractions: tracker.fractions().to_vec(),

@@ -1425,10 +1425,13 @@ impl World {
             }
             let page = match shard.mux.decide(shard.queue.is_empty(), &mut self.rng_mux) {
                 SlotDecision::ServePull => {
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "the MUX decides ServePull only when queue_empty is false"
+                    )]
                     let (p, wait) = shard
                         .queue
                         .pop_wait(now)
-                        // bpp-lint: allow(D3): the MUX decides ServePull only when queue_empty is false
                         .expect("MUX only pulls when non-empty");
                     if let (Some(obs), Some(w)) = (&mut self.obs, wait) {
                         obs.record_pull_wait(w);
@@ -1916,7 +1919,6 @@ mod tests {
             .obs_report(engine.obs(), engine.now())
             .expect("obs enabled");
         assert_eq!(report.metrics.counter("client.mc.retries"), {
-            // bpp-lint: allow(D3): fault_report is Some because the fault model is enabled
             w.fault_report().expect("faults on").retries
         });
         // Heavy request loss forces resends; each leaves a trace event

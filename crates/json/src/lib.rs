@@ -31,8 +31,6 @@
 //! assert_eq!(back, "[1,2,3]");
 //! ```
 
-#![forbid(unsafe_code)]
-
 use std::fmt::Write as _;
 
 /// A JSON document: the usual tree of values.

@@ -1,6 +1,6 @@
-//! Fixture crate root: stream-discipline violations (D1), suppression
-//! directives (good, unknown-rule, and malformed — D0), and a deliberately
-//! missing `#![forbid(unsafe_code)]` attribute (D6).
+//! Fixture crate root: stream-discipline violations (D1) and suppression
+//! directives: one justified, and three that are D0 findings themselves
+//! (stale, unknown-rule, and malformed).
 
 /* A nested /* block comment */ still counts as one comment. */
 
@@ -16,9 +16,14 @@ pub fn magic_literals(seed: u64) -> u64 {
     seed
 }
 
-pub fn suppressed_demo(v: Option<u32>) -> u32 {
-    // bpp-lint: allow(D3): fixture demonstrating a justified suppression
-    v.unwrap()
+pub fn suppressed_demo(x: f64) -> bool {
+    // bpp-lint: allow(D4): fixture demonstrating a justified suppression
+    x == 0.5
+}
+
+pub fn stale_demo(seed: u64) -> u64 {
+    // bpp-lint: allow(D1): stale, the line below draws no RNG stream
+    seed + 1
 }
 
 // bpp-lint: allow(D99): unknown rule names are themselves reported

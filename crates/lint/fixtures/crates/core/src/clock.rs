@@ -1,53 +1,6 @@
-//! Fixture: wall clocks and threads (D2), hash-order iteration (D2),
-//! panic hygiene (D3) with a test region that must stay exempt, and float
-//! equality (D4).
-
-use std::collections::HashMap;
-
-pub struct ScoreBoard {
-    by_page: HashMap<u32, f64>,
-}
-
-impl ScoreBoard {
-    pub fn total(&self) -> f64 {
-        let mut sum = 0.0;
-        for (_, v) in self.by_page.iter() {
-            sum += v;
-        }
-        sum
-    }
-}
-
-pub fn wall_clock_ms() -> u128 {
-    let start = std::time::Instant::now();
-    start.elapsed().as_millis()
-}
-
-pub fn fan_out() {
-    std::thread::spawn(|| {});
-}
-
-pub fn drain_counts() -> u64 {
-    let mut m = HashMap::new();
-    m.insert(1u32, 2u64);
-    let mut total = 0;
-    for (_, v) in m {
-        total += v;
-    }
-    total
-}
-
-pub fn head(xs: &[u32]) -> u32 {
-    *xs.first().unwrap()
-}
-
-pub fn checked_head(xs: &[u32]) -> u32 {
-    *xs.first().expect("non-empty")
-}
-
-pub fn boom() {
-    panic!("fixture");
-}
+//! Fixture: float equality (D4), with a test region that must stay
+//! exempt. Wall clocks, threads, hash-order iteration and panics are
+//! caught by the workspace's clippy lints, not by bpp-lint.
 
 pub fn is_unit(x: f64) -> bool {
     x == 1.0
@@ -56,9 +9,9 @@ pub fn is_unit(x: f64) -> bool {
 #[cfg(test)]
 mod tests {
     #[test]
-    fn unwrap_inside_tests_is_exempt() {
-        let v: Option<u32> = Some(1);
-        assert_eq!(v.unwrap(), 1);
-        assert!(super::is_unit(1.0));
+    fn float_eq_inside_tests_is_exempt() {
+        let x = 1.0;
+        assert!(x == 1.0);
+        assert!(super::is_unit(x));
     }
 }

@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! Fixture workload component: the second consumer the shared handle in
 //! `core/src/flows.rs` leaks into (D7).
 

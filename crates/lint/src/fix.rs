@@ -1,20 +1,14 @@
 //! The `--fix` applier: rewrite machine-applicable suggestions in place.
 //!
 //! A [`Suggestion`](crate::rules::Suggestion) is machine-applicable when
-//! it is either
-//!
-//! * a `replace` carrying a byte-column `span` — the exact half-open
-//!   range on its line that `text` replaces (D4's approx-eq rewrite,
-//!   D11's explicit `(x as _)` conversion), or
-//! * an `insert` — `text` becomes a new line above `line` (D6's
-//!   `#![forbid(unsafe_code)]` header).
-//!
-//! Spanless `replace` suggestions are advice for humans and are never
-//! applied. Edits are deduplicated, then applied per file bottom-up
-//! (lines descending; within a line, replaces right-to-left before
-//! inserts) so earlier edits never shift the coordinates of later ones.
-//! An edit whose span no longer matches the file (stale line, column past
-//! the end, mid-UTF-8 boundary) is skipped, not misapplied.
+//! it carries a byte-column `span`: the exact half-open range on its line
+//! that `text` replaces (D4's approx-eq rewrite, D11's explicit
+//! `(x as _)` conversion). Spanless suggestions are advice for humans and
+//! are never applied. Edits are deduplicated, then applied per file
+//! bottom-up (lines descending; within a line, right-to-left) so earlier
+//! edits never shift the coordinates of later ones. An edit whose span no
+//! longer matches the file (stale line, column past the end, mid-UTF-8
+//! boundary) is skipped, not misapplied.
 //!
 //! The applier is idempotent by construction: every rewrite removes the
 //! pattern its rule fires on, so re-linting the fixed tree yields no
@@ -26,22 +20,17 @@ use std::collections::BTreeMap;
 use std::io;
 use std::path::Path;
 
-/// One concrete file edit, ordered for bottom-up application: the
-/// `Ord` derive sorts by file, then line, then `rank` (replaces before
-/// inserts on the same line), then span.
+/// One concrete file edit; the `Ord` derive sorts by file, line, then
+/// span.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 struct Edit {
     /// Root-relative file path (forward slashes).
     file: String,
     /// 1-based line the edit targets.
     line: u32,
-    /// `0` = replace, `1` = insert — replaces on a line must land before
-    /// an insert shifts that line down.
-    rank: u8,
-    /// Half-open 1-based byte-column range for replaces; `None` for
-    /// inserts.
-    span: Option<(u32, u32)>,
-    /// Replacement text / inserted line.
+    /// Half-open 1-based byte-column range the text replaces.
+    span: (u32, u32),
+    /// Replacement text.
     text: String,
 }
 
@@ -52,23 +41,12 @@ fn collect_edits(diagnostics: &[Diagnostic]) -> Vec<Edit> {
         .iter()
         .filter_map(|d| {
             let s = d.suggestion.as_ref()?;
-            match (s.kind, s.span) {
-                ("replace", Some(span)) => Some(Edit {
-                    file: d.file.clone(),
-                    line: s.line,
-                    rank: 0,
-                    span: Some(span),
-                    text: s.text.clone(),
-                }),
-                ("insert", _) => Some(Edit {
-                    file: d.file.clone(),
-                    line: s.line,
-                    rank: 1,
-                    span: None,
-                    text: s.text.clone(),
-                }),
-                _ => None,
-            }
+            Some(Edit {
+                file: d.file.clone(),
+                line: s.line,
+                span: s.span?,
+                text: s.text.clone(),
+            })
         })
         .collect();
     edits.sort();
@@ -95,42 +73,25 @@ fn apply_replace(line: &mut String, span: (u32, u32), text: &str) -> bool {
 /// tree under `root`. Returns the number of edits applied (skipped stale
 /// edits are not counted). Files are rewritten only when changed.
 pub fn apply_fixes(root: &Path, diagnostics: &[Diagnostic]) -> io::Result<usize> {
-    let mut by_file: BTreeMap<&str, Vec<&Edit>> = BTreeMap::new();
     let edits = collect_edits(diagnostics);
-    for e in &edits {
+    // Walking the sorted edits backwards visits each file's edits
+    // bottom-up and, within a line, right-to-left.
+    let mut by_file: BTreeMap<&str, Vec<&Edit>> = BTreeMap::new();
+    for e in edits.iter().rev() {
         by_file.entry(e.file.as_str()).or_default().push(e);
     }
     let mut applied = 0usize;
-    for (rel, mut edits) in by_file {
+    for (rel, edits) in by_file {
         let path = root.join(rel.replace('/', std::path::MAIN_SEPARATOR_STR));
         let src = std::fs::read_to_string(&path)?;
         let mut lines: Vec<String> = src.split('\n').map(String::from).collect();
-        // Bottom-up: lines descending; within a line, replaces
-        // right-to-left (span descending), then inserts.
-        edits.sort_by(|x, y| {
-            y.line
-                .cmp(&x.line)
-                .then(x.rank.cmp(&y.rank))
-                .then(y.span.cmp(&x.span))
-        });
         let mut changed = false;
         for e in edits {
             let li = (e.line as usize).saturating_sub(1);
-            match e.span {
-                Some(span) => {
-                    if let Some(line) = lines.get_mut(li) {
-                        if apply_replace(line, span, &e.text) {
-                            applied += 1;
-                            changed = true;
-                        }
-                    }
-                }
-                None => {
-                    if li <= lines.len() {
-                        lines.insert(li, e.text.clone());
-                        applied += 1;
-                        changed = true;
-                    }
+            if let Some(line) = lines.get_mut(li) {
+                if apply_replace(line, e.span, &e.text) {
+                    applied += 1;
+                    changed = true;
                 }
             }
         }
@@ -146,12 +107,7 @@ mod tests {
     use super::*;
     use crate::rules::{Diagnostic, Suggestion};
 
-    fn diag_with(
-        kind: &'static str,
-        line: u32,
-        span: Option<(u32, u32)>,
-        text: &str,
-    ) -> Diagnostic {
+    fn diag_with(line: u32, span: Option<(u32, u32)>, text: &str) -> Diagnostic {
         Diagnostic {
             file: "x.rs".to_string(),
             line,
@@ -159,7 +115,6 @@ mod tests {
             message: "m".to_string(),
             suggestion: Some(Suggestion {
                 line,
-                kind,
                 text: text.to_string(),
                 span,
             }),
@@ -168,13 +123,13 @@ mod tests {
 
     #[test]
     fn spanless_replace_is_not_applicable() {
-        let edits = collect_edits(&[diag_with("replace", 3, None, "y")]);
+        let edits = collect_edits(&[diag_with(3, None, "y")]);
         assert!(edits.is_empty());
     }
 
     #[test]
     fn identical_edits_deduplicate() {
-        let d = diag_with("replace", 3, Some((1, 2)), "y");
+        let d = diag_with(3, Some((1, 2)), "y");
         assert_eq!(collect_edits(&[d.clone(), d]).len(), 1);
     }
 

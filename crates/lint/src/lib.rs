@@ -4,9 +4,11 @@
 //! deterministic from one `u64` seed — is a property of the *whole*
 //! workspace, not of any single call site: one magic RNG stream id, one
 //! wall-clock read, or one `HashMap` iteration anywhere in a sim-affecting
-//! crate silently re-randomises published numbers. `bpp-lint` enforces
-//! those invariants the same way the workspace does everything else:
-//! fully in-tree, zero external dependencies.
+//! crate silently re-randomises published numbers. Wall clocks, thread
+//! spawns and hash-order iteration are clippy lints set in the workspace
+//! manifest; `bpp-lint` enforces the project-specific rest the same way
+//! the workspace does everything else: fully in-tree, zero external
+//! dependencies.
 //!
 //! The binary lexes every `.rs` file in the workspace with a real Rust
 //! lexer ([`lexer`]), recovers the item structure with a lightweight
@@ -38,7 +40,7 @@
 //! `2` is usage/IO errors. Without `--deny` the exit is always `0` so
 //! report generation (golden regeneration, drift guards) stays pipeable.
 
-#![forbid(unsafe_code)]
+#![expect(clippy::disallowed_types, reason = "--timing times the lint itself")]
 
 pub mod cfg;
 pub mod dataflow;
@@ -101,7 +103,7 @@ impl ToJson for Diagnostic {
         if let Some(s) = &self.suggestion {
             let mut sm = vec![
                 ("line", u64::from(s.line).to_json()),
-                ("kind", s.kind.to_json()),
+                ("kind", "replace".to_json()),
                 ("text", s.text.to_json()),
             ];
             if let Some((a, b)) = s.span {
@@ -156,10 +158,7 @@ impl Report {
                 d.file, d.line, d.rule, d.message
             ));
             if let Some(s) = &d.suggestion {
-                out.push_str(&format!(
-                    "    suggestion ({} line {}): {}\n",
-                    s.kind, s.line, s.text
-                ));
+                out.push_str(&format!("    suggestion (line {}): {}\n", s.line, s.text));
             }
         }
         for (id, _) in RULES {
@@ -229,7 +228,7 @@ fn collect_rs(root: &Path, dir: &Path, out: &mut Vec<String>) -> io::Result<()> 
 /// suppressions. Cross-file rules need [`lint_root`]. Returns surviving
 /// diagnostics and the suppressed ones (with their rule ids).
 pub fn lint_file(file: &SourceFile) -> (Vec<Diagnostic>, usize) {
-    let sup = Suppressions::parse(file);
+    let mut sup = Suppressions::parse(file);
     let mut out: Vec<Diagnostic> = d0_problems(file, &sup);
     let mut suppressed = 0usize;
     for d in check_file(file) {
@@ -392,7 +391,7 @@ pub fn lint_root_opts(root: &Path, root_label: &str, timing: bool) -> io::Result
 
     // Root-level allowlist: file-wide suppressions by path; an entry
     // naming a path that was not scanned is a D0 diagnostic.
-    let mut allow_by_path: BTreeMap<String, Vec<String>> = BTreeMap::new();
+    let mut allow_by_path: BTreeMap<String, Vec<(String, u32)>> = BTreeMap::new();
     if let Some(text) = read_optional(root, "lint_allow.txt") {
         let (entries, problems) = parse_allow_file(&text);
         for (line, msg) in problems {
@@ -406,7 +405,10 @@ pub fn lint_root_opts(root: &Path, root_label: &str, timing: bool) -> io::Result
         }
         for e in entries {
             if analyses.iter().any(|a| a.file.rel == e.path) {
-                allow_by_path.entry(e.path).or_default().push(e.rule);
+                allow_by_path
+                    .entry(e.path)
+                    .or_default()
+                    .push((e.rule, e.line));
             } else {
                 raw.push(Diagnostic {
                     file: "lint_allow.txt".to_string(),
@@ -427,10 +429,8 @@ pub fn lint_root_opts(root: &Path, root_label: &str, timing: bool) -> io::Result
     // everything is sorted at the end).
     for a in &analyses {
         let mut sup = Suppressions::parse(&a.file);
-        if let Some(rules) = allow_by_path.get(&a.file.rel) {
-            for r in rules {
-                sup.add_file_rule(r);
-            }
+        for (rule, line) in allow_by_path.get(&a.file.rel).into_iter().flatten() {
+            sup.add_allowlist_entry(rule, *line);
         }
         raw.extend(d0_problems(&a.file, &sup));
         sups.push(sup);
@@ -467,9 +467,9 @@ pub fn lint_root_opts(root: &Path, root_label: &str, timing: bool) -> io::Result
 
     // Apply suppressions to everything (D0 is never suppressible by
     // construction: directives naming it are rejected at parse time).
-    let sup_index: BTreeMap<&str, &Suppressions> = analyses
+    let mut sup_index: BTreeMap<&str, &mut Suppressions> = analyses
         .iter()
-        .zip(&sups)
+        .zip(&mut sups)
         .map(|(a, s)| (a.file.rel.as_str(), s))
         .collect();
     let mut diagnostics = Vec::new();
@@ -477,7 +477,7 @@ pub fn lint_root_opts(root: &Path, root_label: &str, timing: bool) -> io::Result
     let mut suppressed_by_rule: BTreeMap<&'static str, usize> = BTreeMap::new();
     for d in raw {
         let covered = sup_index
-            .get(d.file.as_str())
+            .get_mut(d.file.as_str())
             .is_some_and(|s| s.covers(d.rule, d.line));
         if covered {
             suppressed += 1;
@@ -485,6 +485,11 @@ pub fn lint_root_opts(root: &Path, root_label: &str, timing: bool) -> io::Result
         } else {
             diagnostics.push(d);
         }
+    }
+    // Only now is every diagnostic in: a directive that suppressed
+    // nothing is stale.
+    for (rel, sup) in sup_index {
+        diagnostics.extend(sup.stale(rel));
     }
     diagnostics.sort();
     Ok(Report {

@@ -1,8 +1,6 @@
 //! `bpp-lint` CLI: lint the workspace (or `--root <path>`) and print a
 //! human-readable or `--json` report; `--deny` exits nonzero on findings.
 
-#![forbid(unsafe_code)]
-
 use std::process::ExitCode;
 
 const USAGE: &str = "\
@@ -19,10 +17,10 @@ OPTIONS:
                     suppression, or status 3 if the lexer itself failed
                     on any file (the CI gate).
     --fix           Apply machine-applicable suggestions (spanned
-                    replaces and header inserts) in place, then re-lint;
-                    the report describes the fixed tree and its `fixed`
-                    field counts the edits. Idempotent: a second --fix
-                    applies zero edits.
+                    replaces) in place, then re-lint; the report
+                    describes the fixed tree and its `fixed` field counts
+                    the edits. Idempotent: a second --fix applies zero
+                    edits.
     --timing        Add per-rule wall-clock (microseconds) to the report:
                     a `timing` member under --json, `timing <phase>`
                     lines in the human summary. Machine-dependent — never

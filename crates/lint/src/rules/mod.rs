@@ -1,6 +1,6 @@
 //! The `bpp-lint` rule engine: scopes, suppressions, and rules D0–D13.
 //!
-//! Rules come in two layers. The **token rules** (D1–D4 and D6,
+//! Rules come in two layers. The **token rules** (D1 and D4,
 //! [`tokens`]; D9, [`units`]) run over the token stream of one file at a
 //! time (see [`crate::lexer`]) and need no cross-file state. The
 //! **semantic rules** (D7 [`stream_flow`], D10 [`dead_artifacts`], and the
@@ -11,9 +11,15 @@
 //! function of the sorted file list — no hashing, no filesystem order.
 //!
 //! Each rule documents its scope and its heuristic precisely — a lexical
-//! checker cannot do type inference, so where a rule approximates (D2's
-//! map-name tracking, D7's name-based call resolution) the approximation
-//! is stated and conservative.
+//! checker cannot do type inference, so where a rule approximates (D4's
+//! literal-operand match, D7's name-based call resolution) the
+//! approximation is stated and conservative.
+//!
+//! The checks that need type information live in the compiler instead:
+//! wall clocks, thread spawns and hash-order iteration (formerly D2),
+//! `unwrap`/`expect`/`panic!` (D3) and `unsafe` (D6) are rustc and clippy
+//! lints set in the workspace `Cargo.toml` and `clippy.toml`, and an
+//! exception there is an `#[expect(<lint>, reason = "…")]`.
 //!
 //! ## Suppression grammar
 //!
@@ -21,19 +27,19 @@
 //! are never scanned, so documentation may quote directives freely):
 //!
 //! ```text
-//! // bpp-lint: allow(D3): holds because <one-line justification>
-//! // bpp-lint: allow(D1, D2)
+//! // bpp-lint: allow(D4): holds because <one-line justification>
+//! // bpp-lint: allow(D1, D4)
 //! // bpp-lint: allow-file(D1): whole-file justification
 //! ```
 //!
 //! `allow` covers the comment's own line and the line directly below it
 //! (so both trailing and preceding placements work); `allow-file` covers
 //! the whole file. A root-level `lint_allow.txt` may hold file-wide
-//! entries (`D3 crates/foo/src/bar.rs # why`) for trees where editing the
-//! source is not wanted; an entry naming a file that is not scanned is
-//! itself a `D0` diagnostic so the list cannot rot. Rule names must be
-//! drawn from the registry below — a typo'd or unknown name is reported
-//! (rule `D0`), so a suppression can never rot silently. `D0` cannot be
+//! entries (`D4 crates/foo/src/bar.rs # why`) for trees where editing the
+//! source is not wanted. Rule names must be drawn from the registry below.
+//! None of these can rot silently: an unknown rule name, an allowlist
+//! entry naming a file that is not scanned, and a directive or entry that
+//! suppresses nothing are each reported as rule `D0`. `D0` cannot be
 //! suppressed.
 
 pub mod dead_artifacts;
@@ -45,23 +51,19 @@ pub mod unit_infer;
 pub mod units;
 
 use crate::lexer::{Token, TokenKind};
-use std::collections::{BTreeMap, BTreeSet};
 
-/// A machine-applicable fix attached to a diagnostic where the rewrite is
-/// unambiguous. Never applied automatically — emitted in the `--json`
-/// report for tooling to offer.
+/// A rewrite attached to a diagnostic where it is unambiguous: swap the
+/// flagged expression on `line` for `text`. Emitted in the `--json`
+/// report (as `"kind": "replace"`); `--fix` applies the spanned ones.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Suggestion {
     /// 1-based line the suggestion applies to.
     pub line: u32,
-    /// `"replace"` (swap the flagged expression on that line for `text`)
-    /// or `"insert"` (add `text` as a new line above `line`).
-    pub kind: &'static str,
-    /// The replacement / inserted source text.
+    /// The replacement source text.
     pub text: String,
-    /// For `"replace"`: the half-open 1-based **byte column** range on
-    /// `line` that `text` replaces. `None` leaves the rewrite boundary to
-    /// the reader; the `--fix` applier only acts on spanned replacements.
+    /// The half-open 1-based **byte column** range on `line` that `text`
+    /// replaces. `None` leaves the rewrite boundary to the reader; the
+    /// `--fix` applier only acts on spanned replacements.
     pub span: Option<(u32, u32)>,
 }
 
@@ -73,22 +75,19 @@ pub struct Diagnostic {
     pub file: String,
     /// 1-based source line.
     pub line: u32,
-    /// Rule id (`"D1"` … `"D10"`, or `"D0"` for lint-integrity findings).
+    /// Rule id (`"D1"` … `"D13"`, or `"D0"` for lint-integrity findings).
     pub rule: &'static str,
     /// What went wrong and how to fix it.
     pub message: String,
-    /// An unambiguous rewrite, when one exists (D4, D6).
+    /// An unambiguous rewrite, when one exists (D4, D11).
     pub suggestion: Option<Suggestion>,
 }
 
 /// The rule registry: id and one-line summary, in report order.
-pub const RULES: [(&str, &str); 12] = [
+pub const RULES: [(&str, &str); 9] = [
     ("D0", "lint integrity: lexer failures and malformed/unknown/stale suppressions"),
     ("D1", "stream-discipline: stream_rng/.named must use streams::* constants; registry unique+documented"),
-    ("D2", "nondeterminism ban: Instant/SystemTime/thread spawn/HashMap-HashSet iteration in sim-affecting crates"),
-    ("D3", "panic hygiene: no unwrap()/expect()/panic!() in non-test library code"),
     ("D4", "float-eq: no ==/!= against float literals; route through bpp_sim::approx"),
-    ("D6", "every crate lib.rs must carry #![forbid(unsafe_code)]"),
     ("D7", "stream-flow: one RNG stream, one component — no shared handles, no duplicate construction sites"),
     ("D9", "alias of D11 — the token-level unit check D11's dataflow analysis supersedes"),
     ("D10", "dead artifacts: unreachable experiment grids and unreferenced results/ goldens"),
@@ -102,18 +101,6 @@ pub const RULES: [(&str, &str); 12] = [
 /// rule upgrade.
 pub const RULE_ALIASES: [(&str, &str); 1] = [("D9", "D11")];
 
-/// Crates whose code feeds simulation results; rule D2's blast radius.
-pub(crate) const SIM_AFFECTING: [&str; 8] = [
-    "sim",
-    "broadcast",
-    "cache",
-    "client",
-    "server",
-    "workload",
-    "core",
-    "obs",
-];
-
 /// Where a file sits in the workspace, derived from its relative path.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Scope {
@@ -121,8 +108,6 @@ pub struct Scope {
     pub crate_name: Option<String>,
     /// Under `crates/*/src/` but not `src/bin/` — "library code".
     pub library: bool,
-    /// Exactly `crates/<name>/src/lib.rs`.
-    pub lib_rs: bool,
 }
 
 impl Scope {
@@ -132,18 +117,10 @@ impl Scope {
         let crate_name = (parts.len() >= 2 && parts[0] == "crates").then(|| parts[1].to_string());
         let library =
             parts.len() >= 4 && parts[0] == "crates" && parts[2] == "src" && parts[3] != "bin";
-        let lib_rs = library && parts.len() == 4 && parts[3] == "lib.rs";
         Scope {
             crate_name,
             library,
-            lib_rs,
         }
-    }
-
-    pub(crate) fn sim_affecting(&self) -> bool {
-        self.crate_name
-            .as_deref()
-            .is_some_and(|c| SIM_AFFECTING.contains(&c))
     }
 }
 
@@ -287,10 +264,31 @@ impl SourceFile {
     }
 }
 
+/// Where a suppression comes from, which fixes what it covers.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Origin {
+    /// `allow(..)`: its own line and the line directly below.
+    Line,
+    /// `allow-file(..)`: the whole file.
+    File,
+    /// An entry of the root `lint_allow.txt`: the whole file.
+    Allowlist,
+}
+
+/// One rule named by a suppression directive or allowlist entry.
+struct Directive {
+    rule: String,
+    /// 1-based line of the directive: in the source file, or in
+    /// `lint_allow.txt` for an allowlist entry.
+    line: u32,
+    origin: Origin,
+    /// Whether it has covered at least one diagnostic.
+    fired: bool,
+}
+
 /// Parsed suppression directives for one file.
 pub struct Suppressions {
-    file_rules: BTreeSet<String>,
-    line_rules: BTreeMap<u32, BTreeSet<String>>,
+    directives: Vec<Directive>,
     /// D0 findings produced while parsing (unknown rule names, bad syntax).
     pub problems: Vec<(u32, String)>,
 }
@@ -299,8 +297,7 @@ impl Suppressions {
     /// Scan a file's comment tokens for `bpp-lint:` directives.
     pub fn parse(file: &SourceFile) -> Suppressions {
         let mut s = Suppressions {
-            file_rules: BTreeSet::new(),
-            line_rules: BTreeMap::new(),
+            directives: Vec::new(),
             problems: Vec::new(),
         };
         for tok in &file.tokens {
@@ -316,10 +313,10 @@ impl Suppressions {
                 continue;
             };
             let rest = tok.text[at + "bpp-lint:".len()..].trim_start();
-            let (file_wide, rest) = if let Some(r) = rest.strip_prefix("allow-file") {
-                (true, r)
+            let (origin, rest) = if let Some(r) = rest.strip_prefix("allow-file") {
+                (Origin::File, r)
             } else if let Some(r) = rest.strip_prefix("allow") {
-                (false, r)
+                (Origin::Line, r)
             } else {
                 s.problems.push((
                     tok.line,
@@ -348,40 +345,75 @@ impl Suppressions {
                     ));
                     continue;
                 }
-                if file_wide {
-                    s.file_rules.insert(name.to_string());
-                } else {
-                    s.line_rules
-                        .entry(tok.line)
-                        .or_default()
-                        .insert(name.to_string());
-                }
+                s.directives.push(Directive {
+                    rule: name.to_string(),
+                    line: tok.line,
+                    origin,
+                    fired: false,
+                });
             }
         }
         s
     }
 
-    /// Whether a diagnostic of `rule` at `line` is suppressed. A
-    /// suppression naming an aliased rule ([`RULE_ALIASES`]) covers its
-    /// successor too.
-    pub fn covers(&self, rule: &str, line: u32) -> bool {
-        let hits = |name: &str| {
-            self.file_rules.contains(name)
-                // A directive covers its own line and the line directly
-                // below.
-                || [line, line.saturating_sub(1)]
+    /// Whether a diagnostic of `rule` at `line` is suppressed; every
+    /// directive that covers it is marked as fired. A suppression naming
+    /// an aliased rule ([`RULE_ALIASES`]) covers its successor too.
+    pub fn covers(&mut self, rule: &str, line: u32) -> bool {
+        let mut covered = false;
+        for d in &mut self.directives {
+            let names = d.rule == rule
+                || RULE_ALIASES
                     .iter()
-                    .any(|l| self.line_rules.get(l).is_some_and(|r| r.contains(name)))
-        };
-        hits(rule)
-            || RULE_ALIASES
-                .iter()
-                .any(|(old, new)| *new == rule && hits(old))
+                    .any(|&(old, new)| new == rule && old == d.rule);
+            let reaches = d.origin != Origin::Line || d.line == line || d.line + 1 == line;
+            if names && reaches {
+                d.fired = true;
+                covered = true;
+            }
+        }
+        covered
     }
 
-    /// Add a file-wide suppression (used by the root `lint_allow.txt`).
-    pub fn add_file_rule(&mut self, rule: &str) {
-        self.file_rules.insert(rule.to_string());
+    /// Add a file-wide suppression from line `line` of the root
+    /// `lint_allow.txt`.
+    pub fn add_allowlist_entry(&mut self, rule: &str, line: u32) {
+        self.directives.push(Directive {
+            rule: rule.to_string(),
+            line,
+            origin: Origin::Allowlist,
+            fired: false,
+        });
+    }
+
+    /// A `D0` diagnostic for every directive of file `rel` that has
+    /// suppressed nothing; an allowlist entry is reported against
+    /// `lint_allow.txt`.
+    pub fn stale(&self, rel: &str) -> Vec<Diagnostic> {
+        self.directives
+            .iter()
+            .filter(|d| !d.fired)
+            .map(|d| {
+                let (file, what) = match d.origin {
+                    Origin::Line => (rel, format!("bpp-lint suppression `allow({})`", d.rule)),
+                    Origin::File => (
+                        rel,
+                        format!("bpp-lint suppression `allow-file({})`", d.rule),
+                    ),
+                    Origin::Allowlist => (
+                        "lint_allow.txt",
+                        format!("lint_allow.txt entry `{} {rel}`", d.rule),
+                    ),
+                };
+                Diagnostic {
+                    file: file.to_string(),
+                    line: d.line,
+                    rule: "D0",
+                    message: format!("{what} suppresses nothing — delete it"),
+                    suggestion: None,
+                }
+            })
+            .collect()
     }
 }
 
@@ -390,20 +422,19 @@ pub fn known_rule(name: &str) -> bool {
     RULES.iter().any(|(id, _)| *id == name && *id != "D0")
 }
 
+/// One single-file token-rule pass.
+pub type TokenRule = fn(&SourceFile, &mut Vec<Diagnostic>);
+
 /// The single-file token rules, as a (rule id, pass) table so the driver
 /// can attribute per-rule timing. A rule may contribute several passes
 /// (D1); the id labels the timing bucket. D9 is absent by design: its
 /// token-level check is superseded by D11's dataflow analysis
 /// ([`units::d9_unit_discipline`] stays available as a differential
 /// oracle).
-#[allow(clippy::type_complexity)]
-pub const TOKEN_RULES: [(&str, fn(&SourceFile, &mut Vec<Diagnostic>)); 6] = [
+pub const TOKEN_RULES: [(&str, TokenRule); 3] = [
     ("D1", tokens::d1_stream_discipline),
     ("D1", tokens::d1_registry),
-    ("D2", tokens::d2_nondeterminism),
-    ("D3", tokens::d3_panic_hygiene),
     ("D4", tokens::d4_float_eq),
-    ("D6", tokens::d6_forbid_unsafe),
 ];
 
 /// Run every single-file rule over one file; returns raw

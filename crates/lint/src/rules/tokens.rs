@@ -1,24 +1,13 @@
-//! Single-file token rules D1–D4 and D6.
+//! Single-file token rules D1 and D4.
 //!
 //! These run over one [`SourceFile`] at a time and match flat token
 //! patterns; see the module docs in [`crate::rules`] for the engine and
-//! suppression model. D4 and D6 attach machine-applicable
-//! [`Suggestion`]s where the rewrite is unambiguous.
+//! suppression model. D4 attaches a machine-applicable [`Suggestion`]
+//! where the rewrite is unambiguous.
 
 use super::{arg_text, call_args, diag, is_streams_path, Diagnostic, SourceFile, Suggestion};
 use crate::lexer::TokenKind;
-use std::collections::{BTreeMap, BTreeSet};
-
-/// Map-iteration adaptors rule D2 flags on `HashMap`/`HashSet` bindings.
-const ITER_METHODS: [&str; 7] = [
-    "iter",
-    "iter_mut",
-    "keys",
-    "values",
-    "values_mut",
-    "drain",
-    "retain",
-];
+use std::collections::BTreeMap;
 
 /// D1 (call sites): outside `crates/sim`, the stream argument of
 /// `stream_rng(seed, s)` and `SeedSeq::named(s)` must be a `streams::*`
@@ -138,148 +127,6 @@ pub fn d1_registry(f: &SourceFile, out: &mut Vec<Diagnostic>) {
     }
 }
 
-/// D2: wall clocks (`Instant`, `SystemTime`), thread `spawn`, and
-/// iteration over `HashMap`/`HashSet` bindings are banned in library code
-/// of sim-affecting crates. Map bindings are tracked by name within the
-/// file (`x: HashMap<…>` or `let x = HashMap::new()`), a deliberately
-/// simple file-local heuristic.
-pub fn d2_nondeterminism(f: &SourceFile, out: &mut Vec<Diagnostic>) {
-    if !f.scope.sim_affecting() || !f.scope.library {
-        return;
-    }
-    // Pass 1: names bound to HashMap/HashSet.
-    let mut maps: BTreeSet<String> = BTreeSet::new();
-    for k in 0..f.code.len() {
-        let is_map = |t: &str| t == "HashMap" || t == "HashSet";
-        // `name: [path::]HashMap<…>`
-        if f.text(k) == ":" && f.kind(k.wrapping_sub(1)) == Some(TokenKind::Ident) && k >= 1 {
-            let mut j = k + 1;
-            while f.kind(j) == Some(TokenKind::Ident) && f.text(j + 1) == "::" {
-                j += 2;
-            }
-            if f.kind(j) == Some(TokenKind::Ident) && is_map(f.text(j)) {
-                maps.insert(f.text(k - 1).to_string());
-            }
-        }
-        // `let [mut] name = [path::]HashMap::new()`
-        if f.text(k) == "let" {
-            let name_at = if f.text(k + 1) == "mut" { k + 2 } else { k + 1 };
-            if f.kind(name_at) == Some(TokenKind::Ident) && f.text(name_at + 1) == "=" {
-                let mut j = name_at + 2;
-                let mut saw_map = false;
-                while f.kind(j) == Some(TokenKind::Ident) && f.text(j + 1) == "::" {
-                    saw_map |= is_map(f.text(j));
-                    j += 2;
-                }
-                if saw_map {
-                    maps.insert(f.text(name_at).to_string());
-                }
-            }
-        }
-    }
-    // Pass 2: violations.
-    for k in 0..f.code.len() {
-        let t = f.text(k);
-        let line = f.line(k);
-        if f.kind(k) != Some(TokenKind::Ident) {
-            continue;
-        }
-        match t {
-            "Instant" | "SystemTime" => out.push(diag(
-                f,
-                line,
-                "D2",
-                format!(
-                    "`{t}` (wall clock) is forbidden in sim-affecting crates — simulated time only"
-                ),
-            )),
-            "spawn" => out.push(diag(
-                f,
-                line,
-                "D2",
-                "thread spawn in a sim-affecting crate — simulation must stay single-threaded \
-                 (deterministic fan-out wrappers may be allow-listed)"
-                    .to_string(),
-            )),
-            _ => {
-                if maps.contains(t) && f.text(k + 1) == "." && ITER_METHODS.contains(&f.text(k + 2))
-                {
-                    out.push(diag(
-                        f,
-                        line,
-                        "D2",
-                        format!(
-                            "iteration over hash-based `{t}` is nondeterministic — use BTreeMap/BTreeSet or sort first",
-                        ),
-                    ));
-                }
-                if t == "for" {
-                    // `for pat in expr {` — flag a map name inside expr.
-                    let mut j = k + 1;
-                    let mut in_at = None;
-                    while j < f.code.len() && f.text(j) != "{" && f.text(j) != ";" {
-                        if f.text(j) == "in" {
-                            in_at = Some(j);
-                        } else if in_at.is_some()
-                            && f.kind(j) == Some(TokenKind::Ident)
-                            && maps.contains(f.text(j))
-                            && f.text(j + 1) != "."
-                        {
-                            out.push(diag(
-                                f,
-                                f.line(j),
-                                "D2",
-                                format!(
-                                    "`for … in` over hash-based `{}` is nondeterministic — use BTreeMap/BTreeSet or sort first",
-                                    f.text(j)
-                                ),
-                            ));
-                        }
-                        j += 1;
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// D3: `unwrap()`, `expect(…)` and `panic!(…)` are banned in non-test
-/// library code. Invariant-backed sites keep `expect` with a message and an
-/// `allow(D3)` justification; everything else returns `Result`.
-pub fn d3_panic_hygiene(f: &SourceFile, out: &mut Vec<Diagnostic>) {
-    if !f.scope.library {
-        return;
-    }
-    for k in 0..f.code.len() {
-        let line = f.line(k);
-        if f.in_test(line) {
-            continue;
-        }
-        if f.text(k) == "." && f.text(k + 2) == "(" {
-            let m = f.text(k + 1);
-            if m == "unwrap" || m == "expect" {
-                out.push(diag(
-                    f,
-                    f.line(k + 1),
-                    "D3",
-                    format!(
-                        "`.{m}(…)` in library code — return a Result, or justify with an allow(D3) comment"
-                    ),
-                ));
-            }
-        }
-        if f.text(k) == "panic" && f.text(k + 1) == "!" && f.text(k + 2) == "(" {
-            out.push(diag(
-                f,
-                line,
-                "D3",
-                "`panic!` in library code — return a Result, or justify with an allow(D3) comment"
-                    .to_string(),
-            ));
-        }
-    }
-}
-
 /// D4: `==`/`!=` with a float operand in non-test library code. The
 /// heuristic flags comparisons where an adjacent operand token is a float
 /// literal or an `f32::`/`f64::` associated constant; route these through
@@ -354,41 +201,7 @@ fn d4_suggestion(f: &SourceFile, k: usize, op: &str) -> Option<Suggestion> {
     let call = format!("approx_eq({lhs}, {rhs})");
     Some(Suggestion {
         line: f.line(k),
-        kind: "replace",
         text: if op == "!=" { format!("!{call}") } else { call },
         span,
     })
-}
-
-/// D6: each crate's `lib.rs` must carry `#![forbid(unsafe_code)]` so the
-/// guarantee survives even outside workspace-lint builds. The diagnostic
-/// carries an `insert` suggestion for line 1 — the attribute text is
-/// always the same, so the fix is machine-applicable.
-pub fn d6_forbid_unsafe(f: &SourceFile, out: &mut Vec<Diagnostic>) {
-    if !f.scope.lib_rs {
-        return;
-    }
-    let found = (0..f.code.len()).any(|k| {
-        f.text(k) == "#"
-            && f.text(k + 1) == "!"
-            && f.text(k + 2) == "["
-            && f.text(k + 3) == "forbid"
-            && f.text(k + 4) == "("
-            && f.text(k + 5) == "unsafe_code"
-    });
-    if !found {
-        let mut d = diag(
-            f,
-            1,
-            "D6",
-            "crate root is missing `#![forbid(unsafe_code)]`".to_string(),
-        );
-        d.suggestion = Some(Suggestion {
-            line: 1,
-            kind: "insert",
-            text: "#![forbid(unsafe_code)]".to_string(),
-            span: None,
-        });
-        out.push(d);
-    }
 }

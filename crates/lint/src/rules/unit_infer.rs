@@ -149,7 +149,6 @@ fn cast_suggestion(f: &SourceFile, e: &Expr, line: u32) -> Option<Suggestion> {
     }
     Some(Suggestion {
         line,
-        kind: "replace",
         text: format!("({name} as _)"),
         span: Some((tok.col, tok.col + tok.text.len() as u32)),
     })

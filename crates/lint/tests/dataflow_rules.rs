@@ -6,6 +6,8 @@
 //! and line), and the committed cross-statement fixture proves D11 sees
 //! strictly more.
 
+#![expect(clippy::expect_used, reason = "test helpers abort on a bad fixture")]
+
 use bpp_lint::graph::{Analysis, Workspace};
 use bpp_lint::lexer::lex;
 use bpp_lint::rules::units::d9_unit_discipline;
@@ -130,13 +132,14 @@ impl Drop for Scratch {
 }
 
 #[test]
-fn fix_applies_spanned_replaces_and_inserts_then_reaches_a_fixpoint() {
+fn fix_applies_spanned_replaces_then_reaches_a_fixpoint() {
     let scratch = Scratch::new("fix");
     let root = &scratch.0;
     let lib = root.join("crates").join("core").join("src").join("lib.rs");
     std::fs::write(
         &lib,
-        "pub fn mixed(wait_bu: f64, hits_count: f64) -> f64 {\n    wait_bu + hits_count\n}\n",
+        "pub fn mixed(wait_bu: f64, hits_count: f64) -> f64 {\n    wait_bu + hits_count\n}\n\
+         pub fn is_unit(x: f64) -> bool {\n    x == 1.0\n}\n",
     )
     .expect("scratch source must write");
 
@@ -144,12 +147,12 @@ fn fix_applies_spanned_replaces_and_inserts_then_reaches_a_fixpoint() {
     let fixed = fix::apply_fixes(root, &report.diagnostics).expect("fixes must apply");
     assert_eq!(
         fixed, 2,
-        "one D6 header insert + one D11 cast replace: {:?}",
+        "one D11 cast replace + one D4 approx_eq replace: {:?}",
         report.diagnostics
     );
     let after = std::fs::read_to_string(&lib).expect("fixed source must read");
-    assert!(after.starts_with("#![forbid(unsafe_code)]\n"));
     assert!(after.contains("wait_bu + (hits_count as _)"));
+    assert!(after.contains("approx_eq(x, 1.0)"));
 
     // Idempotence: the fixed tree yields no applicable suggestion.
     let report = lint_root(root, "scratch").expect("fixed tree must lint");

@@ -2,6 +2,8 @@
 //! 1 denied diagnostics, 2 usage/IO errors, 3 internal lexer failure
 //! under `--deny` (which takes precedence over 1).
 
+#![expect(clippy::expect_used, reason = "test helpers abort on a bad fixture")]
+
 use std::path::Path;
 use std::process::Command;
 

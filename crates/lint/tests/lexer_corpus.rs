@@ -3,6 +3,8 @@
 //! char-vs-lifetime ambiguity, floats vs. ranges, raw identifiers, and
 //! multi-character operators.
 
+#![expect(clippy::expect_used, reason = "test helpers abort on a bad fixture")]
+
 use bpp_lint::lexer::{lex, TokenKind};
 use TokenKind::{
     BlockComment, ByteChar, ByteStr, Char, Float, Ident, Int, Lifetime, LineComment, Punct,

@@ -2,6 +2,8 @@
 //! a deliberate violation must produce a diagnostic naming the exact
 //! file, line, and rule — the contract the CI gate relies on.
 
+#![expect(clippy::expect_used, reason = "test helpers abort on a bad fixture")]
+
 use bpp_lint::graph::{Analysis, Workspace};
 use bpp_lint::lexer::lex;
 use bpp_lint::rules::{dead_artifacts, stream_flow, Diagnostic, SourceFile};

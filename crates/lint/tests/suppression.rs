@@ -1,6 +1,8 @@
 //! Suppression-grammar edge cases: directives on the last line of a file,
-//! multi-rule `allow(...)` lists, and allowlist entries naming files that
-//! no longer exist.
+//! multi-rule `allow(...)` lists, allowlist entries naming files that no
+//! longer exist, and directives that suppress nothing.
+
+#![expect(clippy::expect_used, reason = "test helpers abort on a bad fixture")]
 
 use bpp_lint::lexer::lex;
 use bpp_lint::lint_file;
@@ -14,7 +16,7 @@ fn file(rel: &str, src: &str) -> SourceFile {
 fn directive_on_last_line_of_file_covers_its_own_line() {
     // No trailing newline, no line below the directive: the trailing
     // placement must still suppress the violation on the same line.
-    let src = "pub fn f(v: Option<u32>) -> u32 {\n    v.unwrap() } // bpp-lint: allow(D3): fixture";
+    let src = "pub fn f(x: f64) -> bool {\n    x == 1.0 } // bpp-lint: allow(D4): fixture";
     let f = file("crates/core/src/x.rs", src);
     let (diags, suppressed) = lint_file(&f);
     assert_eq!(
@@ -27,33 +29,36 @@ fn directive_on_last_line_of_file_covers_its_own_line() {
 
 #[test]
 fn one_allow_lists_several_rules() {
-    let src = "pub fn f(v: Option<f64>) -> f64 {\n    \
-               // bpp-lint: allow(D3, D4): fixture covering two rules at once\n    \
-               if v.unwrap() == 1.0 { 1.0 } else { 0.0 }\n}\n";
+    let src = "pub fn f(seed: u64, x: f64) -> bool {\n    \
+               // bpp-lint: allow(D1, D4): fixture covering two rules at once\n    \
+               stream_rng(seed, 3).is_some() && x == 1.0\n}\n";
     let f = file("crates/core/src/x.rs", src);
     let (diags, suppressed) = lint_file(&f);
     assert_eq!(diags, vec![], "both rules in the list must be suppressed");
-    assert_eq!(suppressed, 2, "one unwrap (D3) plus one float == (D4)");
+    assert_eq!(
+        suppressed, 2,
+        "one magic stream (D1) plus one float == (D4)"
+    );
 }
 
 #[test]
 fn multi_rule_list_still_rejects_unknown_names() {
-    let src = "// bpp-lint: allow(D3, D42, D4)\npub fn f() {}\n";
+    let src = "// bpp-lint: allow(D1, D42, D4)\npub fn f() {}\n";
     let f = file("crates/core/src/x.rs", src);
-    let sup = Suppressions::parse(&f);
+    let mut sup = Suppressions::parse(&f);
     assert_eq!(sup.problems.len(), 1, "D42 is not a registry rule");
     assert!(sup.problems[0].1.contains("D42"));
     // The known names around it still engage.
-    assert!(sup.covers("D3", 1));
+    assert!(sup.covers("D1", 1));
     assert!(sup.covers("D4", 2));
-    assert!(!sup.covers("D6", 1));
+    assert!(!sup.covers("D7", 1));
 }
 
 #[test]
 fn d0_cannot_be_suppressed() {
     let src = "// bpp-lint: allow(D0): nice try\npub fn f() {}\n";
     let f = file("crates/core/src/x.rs", src);
-    let sup = Suppressions::parse(&f);
+    let mut sup = Suppressions::parse(&f);
     assert!(!sup.covers("D0", 1), "D0 must not be suppressible");
     assert_eq!(sup.problems.len(), 1, "naming D0 is itself a problem");
 }
@@ -61,7 +66,7 @@ fn d0_cannot_be_suppressed() {
 #[test]
 fn stale_allowlist_entry_is_a_d0_diagnostic() {
     // Linting the committed fixture tree: its lint_allow.txt carries one
-    // valid entry (D6 for the server fixture) and one stale path.
+    // valid entry (D4 for the server fixture) and one stale path.
     let fixtures = bpp_lint::workspace_root()
         .join("crates")
         .join("lint")
@@ -75,7 +80,7 @@ fn stale_allowlist_entry_is_a_d0_diagnostic() {
     assert_eq!(stale.len(), 1, "exactly the stale entry is reported");
     assert_eq!(stale[0].rule, "D0");
     assert!(stale[0].message.contains("crates/gone/src/lib.rs"));
-    // The valid entry suppresses the server fixture's D6 file-wide.
+    // The valid entry suppresses the server fixture's D4 file-wide.
     assert!(
         !report
             .diagnostics
@@ -87,4 +92,59 @@ fn stale_allowlist_entry_is_a_d0_diagnostic() {
         report.suppressed >= 2,
         "allowlist suppression must be counted"
     );
+}
+
+#[test]
+fn directive_that_suppresses_nothing_is_a_d0_diagnostic() {
+    // A scratch tree with one directive of each kind that fires (a line
+    // directive, and an alias: D9 names D11's findings) and one of each
+    // kind that does not (line, file-wide, allowlist).
+    let root = std::env::temp_dir().join(format!("bpp-lint-stale-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let src_dir = root.join("crates").join("core").join("src");
+    std::fs::create_dir_all(&src_dir).expect("scratch tree must be creatable");
+    std::fs::write(
+        src_dir.join("a.rs"),
+        "// bpp-lint: allow-file(D1): stale\n\
+         pub fn f(x: f64) -> bool {\n    \
+         // bpp-lint: allow(D4): fires\n    \
+         x == 1.0\n\
+         }\n\
+         // bpp-lint: allow(D4): stale\n\
+         pub fn mixed(wait_bu: f64, hits_count: f64) -> f64 {\n    \
+         // bpp-lint: allow(D9): fires through the alias\n    \
+         wait_bu + hits_count\n\
+         }\n",
+    )
+    .expect("scratch source must write");
+    std::fs::write(
+        root.join("lint_allow.txt"),
+        "D7 crates/core/src/a.rs # stale\n",
+    )
+    .expect("scratch allowlist must write");
+    let report = bpp_lint::lint_root(&root, "scratch");
+    let _ = std::fs::remove_dir_all(&root);
+    let report = report.expect("scratch tree must lint");
+
+    let found: Vec<(&str, u32, &str)> = report
+        .diagnostics
+        .iter()
+        .map(|d| (d.file.as_str(), d.line, d.rule))
+        .collect();
+    assert_eq!(
+        found,
+        [
+            ("crates/core/src/a.rs", 1, "D0"),
+            ("crates/core/src/a.rs", 6, "D0"),
+            ("lint_allow.txt", 1, "D0"),
+        ],
+        "exactly the three stale directives: {:?}",
+        report.diagnostics
+    );
+    assert!(report.diagnostics[0].message.contains("`allow-file(D1)`"));
+    assert!(report.diagnostics[1].message.contains("`allow(D4)`"));
+    assert!(report.diagnostics[2]
+        .message
+        .contains("`D7 crates/core/src/a.rs`"));
+    assert_eq!(report.suppressed, 2, "the D4 and the aliased D11");
 }

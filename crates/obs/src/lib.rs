@@ -20,8 +20,6 @@
 //! value, and [`ObsConfig`] is the (off-by-default) knob block embedded in
 //! the simulator configuration.
 
-#![forbid(unsafe_code)]
-
 pub mod config;
 pub mod engine_obs;
 pub mod metrics;

@@ -70,8 +70,8 @@ mod tests {
         report.add_timeline("zeta", Timeline::new(1.0));
         report.add_timeline("alpha", Timeline::new(1.0));
         let text = bpp_json::to_string(&report);
-        let zeta = text.find("zeta").expect("zeta present"); // bpp-lint: allow(D3): test asserts key present
-        let alpha = text.find("alpha").expect("alpha present"); // bpp-lint: allow(D3): test asserts key present
+        let zeta = text.find("zeta").expect("zeta present");
+        let alpha = text.find("alpha").expect("alpha present");
         assert!(zeta < alpha, "producer order preserved, not sorted");
     }
 }

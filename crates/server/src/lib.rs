@@ -17,8 +17,6 @@
 //! The queue offers three service disciplines: the paper's FIFO, plus
 //! most-requested-first and shortest-latency-first as extension ablations.
 
-#![forbid(unsafe_code)]
-
 pub mod admission;
 pub mod mux;
 pub mod queue;

@@ -171,7 +171,7 @@ impl RequestQueue {
         if self.order.len() >= self.capacity {
             match self.overflow {
                 OverflowPolicy::DropOldest if !self.order.is_empty() => {
-                    // bpp-lint: allow(D3): guarded by the at-capacity branch: a full queue has a front
+                    #[expect(clippy::expect_used, reason = "a full queue has a front")]
                     let old = self.order.pop_front().expect("non-empty");
                     let riders = self.pending.remove(&old).unwrap_or(0);
                     if let Some(at) = &mut self.enqueue_at {
@@ -223,6 +223,10 @@ impl RequestQueue {
     /// Serve the next entry according to the discipline. Returns the page to
     /// broadcast in the pull slot.
     pub fn pop(&mut self) -> Option<PageId> {
+        #[expect(
+            clippy::expect_used,
+            reason = "idx was just produced by max_by_key over this very deque"
+        )]
         let page = match self.discipline {
             Discipline::Fifo => self.order.pop_front()?,
             Discipline::MostRequested => {
@@ -231,7 +235,6 @@ impl RequestQueue {
                     .iter()
                     .enumerate()
                     .max_by_key(|&(i, p)| (self.pending[p], std::cmp::Reverse(i)))?;
-                // bpp-lint: allow(D3): idx was just produced by position() over this very deque
                 self.order.remove(idx).expect("index valid")
             }
         };

@@ -16,10 +16,9 @@
 /// Intentional exact equality between two floats.
 ///
 /// Semantically identical to `a == b` (so `NaN != NaN`, and `-0.0 ==
-/// 0.0`); the function exists so exact float comparisons are explicit,
-/// centralized, and exempt from lint rule D4 in exactly one place.
+/// 0.0`); the function exists so exact float comparisons are explicit
+/// and centralized: lint rule D4 routes float-literal comparisons here.
 pub fn exactly(a: f64, b: f64) -> bool {
-    // bpp-lint: allow(D4): this helper IS the blessed exact comparison
     a == b
 }
 

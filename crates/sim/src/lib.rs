@@ -53,8 +53,6 @@
 //! assert_eq!(engine.now(), 9.0);
 //! ```
 
-#![forbid(unsafe_code)]
-
 pub mod approx;
 pub mod engine;
 pub mod refsched;

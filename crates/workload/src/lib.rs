@@ -18,8 +18,6 @@
 //! Items are plain `usize` indexes `0..n`; mapping them onto database page
 //! identifiers is the caller's concern (see `bpp-client`).
 
-#![forbid(unsafe_code)]
-
 pub mod access;
 pub mod alias;
 pub mod noise;

@@ -7,11 +7,22 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
+# Lint inheritance guard: the workspace lint table (`unsafe_code` forbid,
+# clippy's panic and determinism lints) reaches a member only through a
+# `[lints]` table with `workspace = true` in its manifest.
+for manifest in crates/*/Cargo.toml; do
+    awk '/^\[lints\]/ { t = 1; next } /^\[/ { t = 0 } t && /^workspace *= *true/ { ok = 1 }
+         END { exit !ok }' "$manifest" \
+        || { echo "ci: $manifest does not inherit the workspace lints ([lints] workspace = true)" >&2; exit 1; }
+done
+
 cargo build --release --frozen
 cargo test -q --frozen
 # The fault-injection suite runs as part of the workspace tests above, but
 # gate on it explicitly so a filtered/partial test invocation can't skip it.
 cargo test -q --frozen -p bpp-core --test faults
+# Clippy carries the determinism and panic-hygiene rules (the lint table
+# in Cargo.toml, banned types and methods in clippy.toml).
 cargo clippy --all-targets --frozen -- -D warnings
 # Rustdoc gate: a dangling or ambiguous intra-doc link fails the build.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --frozen
