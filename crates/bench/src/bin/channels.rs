@@ -14,20 +14,17 @@
 
 #![expect(clippy::expect_used, reason = "abort on a broken run invariant")]
 
-use bpp_bench::{emit, Opts};
+use bpp_bench::{emit, smoke_cell, Opts};
 use bpp_core::experiments::channel_sweep;
 use bpp_core::report::{fmt_pct, fmt_units, Table};
-use bpp_core::{run_steady_state, Algorithm, MeasurementProtocol, SystemConfig};
+use bpp_core::{run_steady_state, MeasurementProtocol, SystemConfig};
 
 fn smoke() {
-    let mut cfg = SystemConfig::small();
-    cfg.algorithm = Algorithm::Ipp;
-    cfg.pull_bw = 0.5;
-    cfg.thres_perc = 0.0;
-    cfg.steady_state_perc = 0.95;
-    cfg.think_time_ratio = 10.0;
-    cfg.seed = 42;
-    cfg.num_channels = 4;
+    let mut cfg = SystemConfig {
+        think_time_ratio: 10.0,
+        num_channels: 4,
+        ..smoke_cell()
+    };
     cfg.obs.enabled = true;
     let r = run_steady_state(&cfg, &MeasurementProtocol::quick());
     let obs = r.obs.as_ref().expect("obs layer enabled");

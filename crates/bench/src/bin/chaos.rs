@@ -11,21 +11,13 @@
 //! on any violation) and prints the result; `scripts/ci.sh` compares the
 //! output byte-for-byte against `results/chaos_smoke.json`.
 
-use bpp_bench::{emit, Opts};
+use bpp_bench::{emit, smoke_cell, Opts};
 use bpp_core::experiments::crash_sweep;
 use bpp_core::report::{fmt_units, Table};
-use bpp_core::{
-    run_chaos, Algorithm, CrashConfig, FaultPhase, FaultSchedule, MeasurementProtocol, SystemConfig,
-};
+use bpp_core::{run_chaos, CrashConfig, FaultPhase, FaultSchedule, MeasurementProtocol};
 
 fn smoke() {
-    let mut cfg = SystemConfig::small();
-    cfg.algorithm = Algorithm::Ipp;
-    cfg.pull_bw = 0.5;
-    cfg.thres_perc = 0.0;
-    cfg.steady_state_perc = 0.95;
-    cfg.think_time_ratio = 1.0;
-    cfg.seed = 42;
+    let mut cfg = smoke_cell();
     cfg.fault.crash = CrashConfig {
         mtbf: 0.0,
         downtime: 20.0,

@@ -11,20 +11,16 @@
 
 #![expect(clippy::expect_used, reason = "abort on a broken run invariant")]
 
-use bpp_bench::{emit, Opts};
+use bpp_bench::{emit, smoke_cell, Opts};
 use bpp_core::experiments::loss_sweep;
 use bpp_core::report::{fmt_pct, fmt_units, Table};
-use bpp_core::{run_steady_state, Algorithm, FaultConfig, MeasurementProtocol, SystemConfig};
+use bpp_core::{run_steady_state, FaultConfig, MeasurementProtocol, SystemConfig};
 
 fn smoke() {
-    let mut cfg = SystemConfig::small();
-    cfg.algorithm = Algorithm::Ipp;
-    cfg.pull_bw = 0.5;
-    cfg.thres_perc = 0.0;
-    cfg.steady_state_perc = 0.95;
-    cfg.think_time_ratio = 1.0;
-    cfg.seed = 42;
-    cfg.fault = FaultConfig::lossy(0.10);
+    let cfg = SystemConfig {
+        fault: FaultConfig::lossy(0.10),
+        ..smoke_cell()
+    };
     let r = run_steady_state(&cfg, &MeasurementProtocol::quick());
     let report = r.fault.expect("fault model enabled");
     println!("{}", bpp_json::to_string_pretty(&report));

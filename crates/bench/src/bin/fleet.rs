@@ -11,20 +11,16 @@
 //! `scripts/ci.sh` compares the output byte-for-byte against
 //! `results/fleet_smoke.json`.
 
-use bpp_bench::{emit, Opts};
+use bpp_bench::{emit, smoke_cell, Opts};
 use bpp_core::experiments::fleet_sweep;
 use bpp_core::report::{fmt_pct, fmt_units, Table};
-use bpp_core::{run_steady_state, Algorithm, ClientPopulation, MeasurementProtocol, SystemConfig};
+use bpp_core::{run_steady_state, ClientPopulation, MeasurementProtocol, SystemConfig};
 
 fn smoke() {
-    let mut cfg = SystemConfig::small();
-    cfg.algorithm = Algorithm::Ipp;
-    cfg.pull_bw = 0.5;
-    cfg.thres_perc = 0.0;
-    cfg.steady_state_perc = 0.95;
-    cfg.think_time_ratio = 1.0;
-    cfg.seed = 42;
-    cfg.population = ClientPopulation::fleet(200);
+    let cfg = SystemConfig {
+        population: ClientPopulation::fleet(200),
+        ..smoke_cell()
+    };
     let r = run_steady_state(&cfg, &MeasurementProtocol::quick());
     assert!(r.fleet.is_some(), "fleet population ran");
     println!("{}", bpp_json::to_string_pretty(&r));

@@ -13,20 +13,16 @@
 
 #![expect(clippy::expect_used, reason = "abort on a broken run invariant")]
 
-use bpp_bench::Opts;
+use bpp_bench::{smoke_cell, Opts};
 use bpp_core::report::{fmt_units, Table};
 use bpp_core::{run_steady_state, Algorithm, FaultConfig, MeasurementProtocol, SystemConfig};
 use bpp_obs::ObsReport;
 
 fn smoke() {
-    let mut cfg = SystemConfig::small();
-    cfg.algorithm = Algorithm::Ipp;
-    cfg.pull_bw = 0.5;
-    cfg.thres_perc = 0.0;
-    cfg.steady_state_perc = 0.95;
-    cfg.think_time_ratio = 1.0;
-    cfg.seed = 42;
-    cfg.fault = FaultConfig::lossy(0.10);
+    let mut cfg = SystemConfig {
+        fault: FaultConfig::lossy(0.10),
+        ..smoke_cell()
+    };
     cfg.obs.enabled = true;
     let r = run_steady_state(&cfg, &MeasurementProtocol::quick());
     assert!(r.obs.is_some(), "obs layer enabled");

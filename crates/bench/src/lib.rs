@@ -16,7 +16,7 @@ pub mod micro;
 
 use bpp_core::experiments::Figure;
 use bpp_core::report::{fmt_pct, fmt_units, Table};
-use bpp_core::{MeasurementProtocol, SystemConfig};
+use bpp_core::{Algorithm, MeasurementProtocol, SystemConfig};
 
 pub use micro::{BenchStats, Group};
 
@@ -95,6 +95,22 @@ impl Opts {
             cfg.seed = s;
         }
         cfg
+    }
+}
+
+/// The fixed cell behind the `--smoke` goldens of `faults`, `fleet`,
+/// `obs`, `chaos` and `channels`: the small system, IPP with PullBW 50%,
+/// ThresPerc 0 and SteadyStatePerc 95%, ThinkTimeRatio 1, seed 42. Each
+/// binary sets only what its golden adds on top.
+pub fn smoke_cell() -> SystemConfig {
+    SystemConfig {
+        algorithm: Algorithm::Ipp,
+        pull_bw: 0.5,
+        thres_perc: 0.0,
+        steady_state_perc: 0.95,
+        think_time_ratio: 1.0,
+        seed: 42,
+        ..SystemConfig::small()
     }
 }
 

@@ -28,20 +28,6 @@ pub mod tuning;
 pub mod virtual_client;
 pub mod warmup;
 
-/// Mirror of the workspace RNG stream registry, client-owned entries only.
-///
-/// The canonical registry is `bpp_core`'s simulation `streams` module
-/// (single source of truth, checked by `bpp-lint` rule D1). `bpp-client`
-/// sits below `bpp-core` in the dependency graph and cannot import it, so
-/// the one stream this crate owns is mirrored here; the
-/// `client_retry_stream_mirror_matches` test in `bpp-core` pins the two
-/// values together.
-pub mod streams {
-    /// 7 — retry backoff jitter, must equal the canonical
-    /// `bpp_core` `streams::RETRY`.
-    pub const RETRY: u64 = 7;
-}
-
 pub use arena::{ClientArena, FleetStats, WakeOutcome};
 pub use measured::{BeginOutcome, McStats, MeasuredClient};
 pub use retry::{RetryPolicy, RetryState};

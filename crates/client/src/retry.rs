@@ -194,11 +194,10 @@ impl RetryState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::streams;
-    use bpp_sim::rng::stream_rng;
+    use bpp_sim::{stream_rng, Stream};
 
     fn drain(policy: &RetryPolicy, seed: u64) -> Vec<f64> {
-        let mut rng = stream_rng(seed, streams::RETRY);
+        let mut rng = stream_rng(seed, Stream::Retry);
         let mut st = RetryState::arm();
         let mut out = Vec::new();
         while let Some(d) = st.next_delay(policy, &mut rng) {
@@ -209,7 +208,7 @@ mod tests {
 
     #[test]
     fn disabled_policy_never_arms() {
-        let mut rng = stream_rng(1, streams::RETRY);
+        let mut rng = stream_rng(1, Stream::Retry);
         let mut st = RetryState::arm();
         assert_eq!(st.next_delay(&RetryPolicy::disabled(), &mut rng), None);
         assert_eq!(st.attempts(), 0);
@@ -279,9 +278,9 @@ mod tests {
             max_backoff: 0.0,
             jitter: 0.0,
         };
-        let mut rng = stream_rng(77, streams::RETRY);
+        let mut rng = stream_rng(77, Stream::Retry);
         let before = rng.next_u64();
-        let mut rng = stream_rng(77, streams::RETRY);
+        let mut rng = stream_rng(77, Stream::Retry);
         let mut st = RetryState::arm();
         while st.next_delay(&policy, &mut rng).is_some() {}
         assert_eq!(rng.next_u64(), before, "schedule consumed RNG variates");

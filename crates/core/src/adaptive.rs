@@ -95,7 +95,6 @@ pub struct AdaptiveController {
     thres: f64,
     initial_pull_bw: f64,
     initial_thres: f64,
-    // bpp-lint: allow(D13): run-history count — deliberately survives a crash
     adjustments: u64,
 }
 
@@ -126,11 +125,25 @@ impl AdaptiveController {
     /// for the caller to re-apply. The adjustment count survives — it is
     /// run history, not server memory.
     pub fn crash_reset(&mut self, cumulative: &QueueStats) -> (f64, f64) {
-        self.slots_since_adjust = 0;
-        self.window_start = *cumulative;
-        self.pull_bw = self.initial_pull_bw;
-        self.thres = self.initial_thres;
-        (self.pull_bw, self.thres)
+        // No `..`: a new field does not compile until it is wiped here or
+        // kept on purpose (`field: _`).
+        let Self {
+            // Configuration: the restarted controller keeps its bounds.
+            cfg: _,
+            slots_since_adjust,
+            window_start,
+            pull_bw,
+            thres,
+            initial_pull_bw,
+            initial_thres,
+            // Run-history count: deliberately survives a crash.
+            adjustments: _,
+        } = self;
+        *slots_since_adjust = 0;
+        *window_start = *cumulative;
+        *pull_bw = *initial_pull_bw;
+        *thres = *initial_thres;
+        (*pull_bw, *thres)
     }
 
     /// Current `PullBW` setting.

@@ -20,9 +20,8 @@
 use crate::config::{MeasurementProtocol, SystemConfig};
 use crate::fault::ConservationLedger;
 use crate::runner::{collect_steady_state, SteadyStateResult};
-use crate::simulation::{Phase, World};
+use crate::simulation::World;
 use bpp_json::{Json, ToJson};
-use bpp_sim::Confidence;
 
 /// One segment of a chaos timeline.
 #[derive(Debug, Clone, PartialEq)]
@@ -265,11 +264,7 @@ pub fn run_chaos(
     }
 
     let w = engine.model();
-    let bm = w.responses();
-    let converged = w.phase() == Phase::Measure
-        && bm.count() < proto.max_accesses
-        && bm.converged(Confidence::P95, proto.rel_precision, proto.min_batches);
-    let result = collect_steady_state(w, engine.obs(), engine.now(), converged);
+    let result = collect_steady_state(w, engine.obs(), engine.now(), w.converged());
     let ledger = w.conservation_ledger();
     ledger.assert_clean();
     ChaosResult { result, ledger }

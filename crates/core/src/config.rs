@@ -106,8 +106,8 @@ impl ToJson for QueueDiscipline {
 /// come from one of two mutually exclusive sources:
 ///
 /// * `mtbf` — an exponential inter-crash distribution drawn on the
-///   dedicated `CRASH` RNG stream (mean time between failures, measured
-///   restart-to-crash);
+///   dedicated `Stream::Crash` RNG stream (mean time between failures,
+///   measured restart-to-crash);
 /// * `schedule` — an explicit, strictly increasing list of crash times for
 ///   deterministic chaos scenarios.
 ///
@@ -118,12 +118,12 @@ impl ToJson for QueueDiscipline {
 /// its pre-crash level.
 ///
 /// [`CrashConfig::none`] (the default) disables the whole domain: no crash
-/// state is constructed, the `CRASH` stream is never seeded, and runs are
+/// state is constructed, `Stream::Crash` is never seeded, and runs are
 /// bitwise identical to a build without it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CrashConfig {
     /// Mean time between failures in broadcast units (exponential draw on
-    /// the `CRASH` stream). `0` disables random crashes.
+    /// the `Stream::Crash` stream). `0` disables random crashes.
     pub mtbf: f64,
     /// How long the server stays down after each crash, in broadcast
     /// units. Must be positive when crashes are configured.
@@ -241,9 +241,9 @@ impl ToJson for CrashConfig {
 ///
 /// * `broadcast_loss` — each page-carrying slot is corrupted/lost for *all*
 ///   listeners with this probability (one coin per slot on the
-///   `FAULT_LOSS` RNG stream);
+///   `Stream::FaultLoss` RNG stream);
 /// * `request_loss` — each backchannel request vanishes in transit with
-///   this probability (one coin per send on the `FAULT_REQ` stream);
+///   this probability (one coin per send on the `Stream::FaultReq` stream);
 /// * brownouts — a deterministic periodic window (`brownout_duration` out
 ///   of every `brownout_period` broadcast units, starting at time 0)
 ///   during which the server discards every arriving request;

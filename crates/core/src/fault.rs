@@ -5,10 +5,10 @@
 //! The injection points are deliberately few and all deterministic:
 //!
 //! * **frontchannel** — one coin per page-carrying slot on the
-//!   `FAULT_LOSS` RNG stream decides whether every listener misses the
-//!   page ([`FaultLayer::page_lost`]);
-//! * **backchannel** — one coin per sent request on the `FAULT_REQ` stream
-//!   ([`FaultLayer::deliver`]), then a clock check against the brownout
+//!   `Stream::FaultLoss` RNG stream decides whether every listener misses
+//!   the page ([`FaultLayer::page_lost`]);
+//! * **backchannel** — one coin per sent request on the
+//!   `Stream::FaultReq` stream ([`FaultLayer::deliver`]), then a clock check against the brownout
 //!   window (no randomness), then the ordinary queue admission path;
 //! * **client retries** and **server degradation** live in `bpp-client` /
 //!   `bpp-server`; their counters are folded into the same report.
@@ -82,7 +82,7 @@ impl FaultLayer {
 
     /// Flip the transit coin for one backchannel send. The coin is flipped
     /// on *every* send — including sends into a brownout or at a crashed
-    /// server — so the `FAULT_REQ` stream position depends only on the
+    /// server — so the `Stream::FaultReq` position depends only on the
     /// number of sends, not on server-side state.
     pub fn transit_lost(&mut self) -> bool {
         let lost = self.cfg.request_loss > 0.0 && self.rng_req.random_bool(self.cfg.request_loss);
@@ -429,14 +429,13 @@ impl ToJson for ConservationLedger {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bpp_sim::stream_rng;
+    use bpp_sim::{stream_rng, Stream};
 
     fn layer(cfg: FaultConfig) -> FaultLayer {
-        use crate::simulation::streams;
         FaultLayer::new(
             cfg,
-            stream_rng(1, streams::FAULT_LOSS),
-            stream_rng(1, streams::FAULT_REQ),
+            stream_rng(1, Stream::FaultLoss),
+            stream_rng(1, Stream::FaultReq),
         )
     }
 

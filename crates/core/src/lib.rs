@@ -65,4 +65,4 @@ pub use bpp_server::{AdmissionConfig, OverflowPolicy, SaturationPolicy};
 pub use runner::{
     run_steady_state, run_warmup, FleetResult, RunError, SteadyStateResult, WarmupResult,
 };
-pub use simulation::{streams, SlotAccounting, World};
+pub use simulation::{SlotAccounting, World};

@@ -2,7 +2,7 @@
 
 use crate::config::{MeasurementProtocol, SystemConfig};
 use crate::fault::FaultReport;
-use crate::simulation::{Phase, SlotAccounting, World};
+use crate::simulation::{SlotAccounting, World};
 use bpp_json::{Json, ToJson};
 use bpp_obs::{EngineObs, ObsReport};
 use bpp_sim::Confidence;
@@ -345,15 +345,7 @@ pub fn run_steady_state(cfg: &SystemConfig, protocol: &MeasurementProtocol) -> S
     engine.run_while(|w| !w.done());
     let w = engine.model();
     w.conservation_ledger().assert_clean();
-    let bm = w.responses();
-    let converged = w.phase() == Phase::Measure
-        && bm.count() < protocol.max_accesses
-        && bm.converged(
-            Confidence::P95,
-            protocol.rel_precision,
-            protocol.min_batches,
-        );
-    collect_steady_state(w, engine.obs(), engine.now(), converged)
+    collect_steady_state(w, engine.obs(), engine.now(), w.converged())
 }
 
 /// Run the warm-up protocol of Figure 4: a cold MC joins the broadcast and

@@ -55,73 +55,10 @@ use bpp_server::{
     Admission, BandwidthMux, Discipline, QueueStats, RequestQueue, SaturationDetector, SlotDecision,
 };
 use bpp_sim::{
-    stream_rng, BatchMeans, Confidence, Engine, Ewma, Histogram, Model, Rng, Scheduler, Time,
-    Welford, Xoshiro256pp,
+    stream_rng, BatchMeans, Confidence, Engine, Ewma, Histogram, Model, Rng, Scheduler, Stream,
+    Time, Welford, Xoshiro256pp,
 };
 use bpp_workload::{AccessPattern, NoisePermutation, ThinkTime, Zipf};
-
-/// The RNG stream registry — the workspace's single source of truth.
-///
-/// Every stochastic component draws from `stream_rng(seed, streams::X)`;
-/// ids are stable across versions because changing one component's draw
-/// count must never perturb the variates any other component sees (the
-/// common-random-numbers discipline behind all published figures).
-///
-/// | id | constant     | owner                              | drawn when            |
-/// |----|--------------|------------------------------------|-----------------------|
-/// | 0  | `MUX`        | `bpp_server::BandwidthMux`         | every slot boundary   |
-/// | 1  | `MC`         | Measured Client think/access       | every MC access       |
-/// | 2  | `VC`         | Virtual Client population          | every VC access       |
-/// | 3  | `NOISE`      | `bpp_workload::NoisePermutation`   | once at build         |
-/// | 4  | `UPDATE`     | server-side update process         | per update tick       |
-/// | 5  | `FAULT_LOSS` | fault model, frontchannel          | `broadcast_loss > 0`  |
-/// | 6  | `FAULT_REQ`  | fault model, backchannel           | `request_loss > 0`    |
-/// | 7  | `RETRY`      | `bpp_client::retry` jitter         | `jitter > 0`          |
-/// | 8  | `FLEET`      | `bpp_client::arena` client fleet   | `population` = fleet  |
-/// | 9  | `CRASH`      | crash model, MTBF inter-crash draws| `crash.mtbf > 0`      |
-///
-/// Streams 0–4 are golden-pinned from the base system; 5–7 belong to the
-/// fault model and are seeded only when the corresponding knob is enabled;
-/// 8 belongs to the million-client extension and is drawn only when
-/// `population` selects a real fleet; 9 belongs to the crash–recovery
-/// domain and is seeded only when `crash.mtbf > 0` (an explicit crash
-/// schedule draws nothing).
-/// `bpp-lint` rule D1 enforces that (a) every `stream_rng`/`.named` call
-/// outside `crates/sim` names one of these constants and (b) the ids here
-/// stay unique and documented. `bpp_client` cannot depend on this crate,
-/// so it mirrors its one stream as `bpp_client::streams::RETRY`; the
-/// `client_retry_stream_mirror_matches` test pins the two together.
-pub mod streams {
-    /// 0 — server bandwidth MUX coin (`bpp_server::BandwidthMux`), one
-    /// draw per slot boundary.
-    pub const MUX: u64 = 0;
-    /// 1 — Measured Client think times and access draws.
-    pub const MC: u64 = 1;
-    /// 2 — Virtual Client population think times and access draws.
-    pub const VC: u64 = 2;
-    /// 3 — noise permutation of the access pattern
-    /// (`bpp_workload::NoisePermutation`), drawn once at world build.
-    pub const NOISE: u64 = 3;
-    /// 4 — server-side update process (page staleness experiments).
-    pub const UPDATE: u64 = 4;
-    /// 5 — fault model: frontchannel page-loss coins, one per
-    /// page-carrying slot, drawn only when `broadcast_loss > 0`.
-    pub const FAULT_LOSS: u64 = 5;
-    /// 6 — fault model: backchannel request-transit coins, one per send
-    /// (position depends only on the send count, never on server state).
-    pub const FAULT_REQ: u64 = 6;
-    /// 7 — retry backoff jitter (`bpp_client::retry`), drawn only when
-    /// `jitter > 0`; mirrored as `bpp_client::streams::RETRY`.
-    pub const RETRY: u64 = 7;
-    /// 8 — the arena client fleet (`bpp_client::arena`): think times,
-    /// access draws and retry jitter of every fleet client, drawn only
-    /// when `population` selects a real fleet (`fleet_clients > 0`).
-    pub const FLEET: u64 = 8;
-    /// 9 — crash model: exponential inter-crash draws, one per crash,
-    /// seeded and drawn only when `crash.mtbf > 0` (explicit schedules
-    /// are deterministic and draw nothing).
-    pub const CRASH: u64 = 9;
-}
 
 /// Events of the integrated model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -321,7 +258,7 @@ impl CrashState {
     const RESPONSE_SMOOTHING: f64 = 0.1;
 
     fn new(cfg: CrashConfig, seed: u64) -> Self {
-        let mut rng = (cfg.mtbf > 0.0).then(|| stream_rng(seed, streams::CRASH));
+        let mut rng = (cfg.mtbf > 0.0).then(|| stream_rng(seed, Stream::Crash));
         let mut schedule: std::collections::VecDeque<f64> = cfg.schedule.iter().copied().collect();
         let next_crash_at = match &mut rng {
             Some(r) => Self::draw_interval(cfg.mtbf, r),
@@ -517,7 +454,7 @@ impl World {
         // --- Access patterns. ---
         let zipf = Zipf::new(cfg.db_size, cfg.zipf_theta);
         let population = AccessPattern::population(&zipf);
-        let mut rng_noise = stream_rng(cfg.seed, streams::NOISE);
+        let mut rng_noise = stream_rng(cfg.seed, Stream::Noise);
         let mc_pattern = AccessPattern::new(
             &zipf,
             NoisePermutation::new(cfg.db_size, cfg.noise, &mut rng_noise),
@@ -676,7 +613,7 @@ impl World {
             vc,
             fleet,
             // bpp-lint: allow(D7): fleet-owned bpp-client arena forwards draws into bpp-workload samplers; every draw is fleet-initiated
-            rng_fleet: stream_rng(cfg.seed, streams::FLEET),
+            rng_fleet: stream_rng(cfg.seed, Stream::Fleet),
             next_vc_arrival: 0.0,
             has_backchannel,
             prefetch: cfg.mc_prefetch,
@@ -687,15 +624,15 @@ impl World {
                 sampler: bpp_workload::AliasTable::new(
                     Zipf::new(cfg.db_size, cfg.zipf_theta).probs(),
                 ),
-                rng: stream_rng(cfg.seed, streams::UPDATE),
+                rng: stream_rng(cfg.seed, Stream::Update),
                 count: 0,
                 mc_invalidations: 0,
             }),
-            rng_mux: stream_rng(cfg.seed, streams::MUX),
+            rng_mux: stream_rng(cfg.seed, Stream::Mux),
             // bpp-lint: allow(D7): client-owned bpp-workload samplers draw on the MC stream; every draw is client-initiated
-            rng_mc: stream_rng(cfg.seed, streams::MC),
+            rng_mc: stream_rng(cfg.seed, Stream::Mc),
             // bpp-lint: allow(D7): client-owned bpp-workload samplers draw on the VC stream; every draw is client-initiated
-            rng_vc: stream_rng(cfg.seed, streams::VC),
+            rng_vc: stream_rng(cfg.seed, Stream::Vc),
             protocol: *protocol,
             phase,
             skip_left: 0,
@@ -712,8 +649,8 @@ impl World {
             fault: has_channel_faults.then(|| {
                 FaultLayer::new(
                     fault_cfg.clone(),
-                    stream_rng(cfg.seed, streams::FAULT_LOSS),
-                    stream_rng(cfg.seed, streams::FAULT_REQ),
+                    stream_rng(cfg.seed, Stream::FaultLoss),
+                    stream_rng(cfg.seed, Stream::FaultReq),
                 )
             }),
             fault_enabled: fault_cfg.enabled(),
@@ -721,7 +658,7 @@ impl World {
             retry: fault_cfg.retry,
             retry_state: RetryState::default(),
             retry_gen: 0,
-            rng_retry: stream_rng(cfg.seed, streams::RETRY),
+            rng_retry: stream_rng(cfg.seed, Stream::Retry),
             retries: 0,
             retries_exhausted: 0,
             obs: cfg.obs.enabled.then(|| {
@@ -815,6 +752,18 @@ impl World {
     /// Current measurement phase.
     pub fn phase(&self) -> Phase {
         self.phase
+    }
+
+    /// The steady-state stopping rule, judged on a finished run: the run
+    /// reached the Measure phase and its response-time estimate stabilised
+    /// below the access cap.
+    pub(crate) fn converged(&self) -> bool {
+        let p = &self.protocol;
+        self.phase == Phase::Measure
+            && self.responses.count() < p.max_accesses
+            && self
+                .responses
+                .converged(Confidence::P95, p.rel_precision, p.min_batches)
     }
 
     /// Response-time estimator (valid after the Measure phase started).
@@ -1168,7 +1117,7 @@ impl World {
     /// phase-shifted clock) → admission bucket → the bounded, coalescing
     /// queue.
     ///
-    /// The transit coin comes first so the `FAULT_REQ` stream position
+    /// The transit coin comes first so the `Stream::FaultReq` position
     /// depends only on the send count, never on server-side state; the
     /// remaining layers draw no randomness at all. With no crash domain
     /// configured this is exactly the pre-crash delivery path.
@@ -1284,7 +1233,7 @@ impl World {
     ///
     /// Both VC draws (the access and the next inter-arrival) come off
     /// `rng_vc` before the request is submitted; the submit path draws only
-    /// from the fault streams, so this ordering keeps the `VC` stream's
+    /// from the fault streams, so this ordering keeps the `Stream::Vc`
     /// draw sequence identical to the pre-observability handler.
     fn drain_vc(&mut self, until: Time) {
         if self.vc.is_none() {
@@ -1351,7 +1300,7 @@ impl World {
     /// One broadcast unit. Every channel carries one slot per unit (K
     /// channels = K-fold aggregate bandwidth); each channel runs its own
     /// saturation watcher, MUX coin and pull shard, always in ascending
-    /// channel order so the `MUX` stream's draw sequence is a
+    /// channel order so the `Stream::Mux` draw sequence is a
     /// deterministic function of the shard backlogs.
     fn on_slot(&mut self, now: Time, sched: &mut Scheduler<Event>) {
         if now >= self.protocol.max_sim_time {
@@ -1711,13 +1660,6 @@ impl Model for World {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// `bpp-client` cannot depend on this crate, so it mirrors its one
-    /// registry entry; the mirror must track the canonical id forever.
-    #[test]
-    fn client_retry_stream_mirror_matches() {
-        assert_eq!(bpp_client::streams::RETRY, streams::RETRY);
-    }
 
     fn quick_cfg(algorithm: Algorithm) -> SystemConfig {
         let mut c = SystemConfig::small();

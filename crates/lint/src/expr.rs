@@ -1,7 +1,7 @@
 //! Expression-level parser for function bodies.
 //!
 //! The item parser ([`crate::parse`]) recovers *where* code lives; the
-//! dataflow rules (D11–D13) need to know *what it does*: which names a
+//! dataflow rules (D11, D12) need to know *what it does*: which names a
 //! `let` binds, which fields an assignment writes, which function a call
 //! reaches, which variant a `return` produces. This module parses the
 //! code-token range of one function body into an arena of expression

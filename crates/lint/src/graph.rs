@@ -1,4 +1,4 @@
-//! Cross-file workspace model for the semantic rules (D7, D10–D13).
+//! Cross-file workspace model for the semantic rules (D7, D10–D12).
 //!
 //! A [`Workspace`] owns every analyzed file (token stream + parsed items)
 //! plus the out-of-band context the semantic rules need: the `results/`
@@ -33,7 +33,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 /// A function body lowered for dataflow: its expression arena, the root
 /// block node, and the control-flow graph over arena statements. Built
-/// once per fn; the dataflow rules (D11–D13) all interpret the same
+/// once per fn; the dataflow rules (D11, D12) both interpret the same
 /// lowering.
 pub struct Body {
     /// Arena holding every expression of the body (plus CFG synthetics).

@@ -1,11 +1,11 @@
-//! The `bpp-lint` rule engine: scopes, suppressions, and rules D0–D13.
+//! The `bpp-lint` rule engine: scopes, suppressions, and rules D0–D12.
 //!
-//! Rules come in two layers. The **token rules** (D1 and D4,
-//! [`tokens`]; D9, [`units`]) run over the token stream of one file at a
-//! time (see [`crate::lexer`]) and need no cross-file state. The
-//! **semantic rules** (D7 [`stream_flow`], D10 [`dead_artifacts`], and the
-//! dataflow rules D11–D13) run over a [`crate::graph::Workspace`] built
-//! from the item structure ([`crate::parse`]) of every file, so they can
+//! Rules come in two layers. The **token rules** (D4, [`tokens`]; D9,
+//! [`units`]) run over the token stream of one file at a time (see
+//! [`crate::lexer`]) and need no cross-file state. The **semantic rules**
+//! (D7 [`stream_flow`], D10 [`dead_artifacts`], and the dataflow rules
+//! D11 and D12) run over a [`crate::graph::Workspace`] built from the
+//! item structure ([`crate::parse`]) of every file, so they can
 //! follow an RNG handle across a function boundary or notice a results
 //! artifact nothing references. Either way the report order is a pure
 //! function of the sorted file list — no hashing, no filesystem order.
@@ -19,7 +19,11 @@
 //! wall clocks, thread spawns and hash-order iteration (formerly D2),
 //! `unwrap`/`expect`/`panic!` (D3) and `unsafe` (D6) are rustc and clippy
 //! lints set in the workspace `Cargo.toml` and `clippy.toml`, and an
-//! exception there is an `#[expect(<lint>, reason = "…")]`.
+//! exception there is an `#[expect(<lint>, reason = "…")]`. The type
+//! checker carries RNG stream discipline (formerly D1: `stream_rng` takes
+//! a `bpp_sim::Stream`, and `clippy.toml` bans the raw-id mixer) and
+//! cold-restart coverage (formerly D13: each reset method destructures
+//! `Self` exhaustively).
 //!
 //! ## Suppression grammar
 //!
@@ -28,8 +32,8 @@
 //!
 //! ```text
 //! // bpp-lint: allow(D4): holds because <one-line justification>
-//! // bpp-lint: allow(D1, D4)
-//! // bpp-lint: allow-file(D1): whole-file justification
+//! // bpp-lint: allow(D4, D11)
+//! // bpp-lint: allow-file(D4): whole-file justification
 //! ```
 //!
 //! `allow` covers the comment's own line and the line directly below it
@@ -44,7 +48,6 @@
 
 pub mod dead_artifacts;
 pub mod ledger;
-pub mod reset;
 pub mod stream_flow;
 pub mod tokens;
 pub mod unit_infer;
@@ -75,7 +78,7 @@ pub struct Diagnostic {
     pub file: String,
     /// 1-based source line.
     pub line: u32,
-    /// Rule id (`"D1"` … `"D13"`, or `"D0"` for lint-integrity findings).
+    /// Rule id (`"D4"` … `"D12"`, or `"D0"` for lint-integrity findings).
     pub rule: &'static str,
     /// What went wrong and how to fix it.
     pub message: String,
@@ -84,16 +87,14 @@ pub struct Diagnostic {
 }
 
 /// The rule registry: id and one-line summary, in report order.
-pub const RULES: [(&str, &str); 9] = [
+pub const RULES: [(&str, &str); 7] = [
     ("D0", "lint integrity: lexer failures and malformed/unknown/stale suppressions"),
-    ("D1", "stream-discipline: stream_rng/.named must use streams::* constants; registry unique+documented"),
     ("D4", "float-eq: no ==/!= against float literals; route through bpp_sim::approx"),
     ("D7", "stream-flow: one RNG stream, one component — no shared handles, no duplicate construction sites"),
     ("D9", "alias of D11 — the token-level unit check D11's dataflow analysis supersedes"),
     ("D10", "dead artifacts: unreachable experiment grids and unreferenced results/ goldens"),
     ("D11", "unit inference: *_bu/*_count/*_ratio classes propagated through bindings, params, and returns"),
     ("D12", "ledger coverage: every request-terminating path must increment exactly one ConservationLedger bucket"),
-    ("D13", "reset coverage: every mutable volatile field must be written on the cold-restart path"),
 ];
 
 /// Suppression aliases: `allow(<old>)` also silences diagnostics of the
@@ -333,7 +334,7 @@ impl Suppressions {
             else {
                 s.problems.push((
                     tok.line,
-                    "malformed bpp-lint directive: missing rule list `(D1, ...)`".to_string(),
+                    "malformed bpp-lint directive: missing rule list `(D4, ...)`".to_string(),
                 ));
                 continue;
             };
@@ -426,20 +427,15 @@ pub fn known_rule(name: &str) -> bool {
 pub type TokenRule = fn(&SourceFile, &mut Vec<Diagnostic>);
 
 /// The single-file token rules, as a (rule id, pass) table so the driver
-/// can attribute per-rule timing. A rule may contribute several passes
-/// (D1); the id labels the timing bucket. D9 is absent by design: its
+/// can attribute per-rule timing. D9 is absent by design: its
 /// token-level check is superseded by D11's dataflow analysis
 /// ([`units::d9_unit_discipline`] stays available as a differential
 /// oracle).
-pub const TOKEN_RULES: [(&str, TokenRule); 3] = [
-    ("D1", tokens::d1_stream_discipline),
-    ("D1", tokens::d1_registry),
-    ("D4", tokens::d4_float_eq),
-];
+pub const TOKEN_RULES: [(&str, TokenRule); 1] = [("D4", tokens::d4_float_eq)];
 
 /// Run every single-file rule over one file; returns raw
 /// (unsuppressed-unfiltered) diagnostics. The caller applies
-/// [`Suppressions`] and sorting. Cross-file rules (D7, D10–D13) run
+/// [`Suppressions`] and sorting. Cross-file rules (D7, D10–D12) run
 /// separately over the whole workspace — see [`crate::graph`].
 pub fn check_file(f: &SourceFile) -> Vec<Diagnostic> {
     let mut out = Vec::new();
@@ -489,29 +485,10 @@ pub(crate) fn call_args(f: &SourceFile, open: usize) -> (Vec<(usize, usize)>, us
     (args, k)
 }
 
-/// Whether the code tokens in `[a, b)` form a path through a `streams`
-/// module (`streams::X`, `simulation::streams::X`, …).
-pub(crate) fn is_streams_path(f: &SourceFile, a: usize, b: usize) -> bool {
-    (a..b.saturating_sub(2)).any(|k| {
-        f.text(k) == "streams" && f.text(k + 1) == "::" && f.kind(k + 2) == Some(TokenKind::Ident)
-    })
-}
-
-/// The `streams::X` constant name inside `[a, b)`, if any.
-pub(crate) fn streams_const(f: &SourceFile, a: usize, b: usize) -> Option<String> {
+/// The `Stream::X` registry variant named inside `[a, b)`, if any.
+pub(crate) fn stream_variant(f: &SourceFile, a: usize, b: usize) -> Option<String> {
     (a..b.saturating_sub(2)).find_map(|k| {
-        (f.text(k) == "streams" && f.text(k + 1) == "::" && f.kind(k + 2) == Some(TokenKind::Ident))
+        (f.text(k) == "Stream" && f.text(k + 1) == "::" && f.kind(k + 2) == Some(TokenKind::Ident))
             .then(|| f.text(k + 2).to_string())
     })
-}
-
-pub(crate) fn arg_text(f: &SourceFile, a: usize, b: usize) -> String {
-    let mut s = String::new();
-    for k in a..b {
-        if !s.is_empty() {
-            s.push(' ');
-        }
-        s.push_str(f.text(k));
-    }
-    s
 }

@@ -1,7 +1,7 @@
 //! Rule D7: stream-flow — one RNG stream, one component.
 //!
 //! The determinism architecture gives every consumer of randomness its
-//! own counter-based stream (`stream_rng(seed, streams::X)`), so that
+//! own counter-based stream (`stream_rng(seed, Stream::X)`), so that
 //! adding or removing draws in one component can never shift the variates
 //! seen by another. That guarantee has two ways to rot:
 //!
@@ -12,8 +12,8 @@
 //!    constructed at two sites, so two actors consume one logical stream.
 //!
 //! The rule builds an interprocedural flow per handle: a handle *birth*
-//! is `let [mut] NAME = stream_rng(…, streams::X)` or a struct-literal
-//! member `NAME: stream_rng(…, streams::X)`; a *use* is the handle
+//! is `let [mut] NAME = stream_rng(…, Stream::X)` or a struct-literal
+//! member `NAME: stream_rng(…, Stream::X)`; a *use* is the handle
 //! appearing as a call argument. Calls resolve by name through the
 //! [`Workspace`] indices (ambiguous names never resolve — the rule would
 //! rather miss a flow than invent one), and resolution recurses one level
@@ -29,7 +29,7 @@
 //! exactly one callee and cannot violate the flow rule (duplicate-site
 //! detection still sees it).
 
-use super::{call_args, diag, streams_const, Diagnostic, SourceFile};
+use super::{call_args, diag, stream_variant, Diagnostic, SourceFile};
 use crate::graph::{component_of, Workspace};
 use crate::lexer::TokenKind;
 use std::collections::{BTreeMap, BTreeSet};
@@ -40,10 +40,10 @@ pub fn d7_stream_flow(ws: &Workspace<'_>, out: &mut Vec<Diagnostic>) {
     handle_flows(ws, out);
 }
 
-/// D7a: every `streams::X` registry constant may be constructed into an
+/// D7a: every `Stream::X` registry variant may be constructed into an
 /// RNG at most once across all component library code.
 fn duplicate_sites(ws: &Workspace<'_>, out: &mut Vec<Diagnostic>) {
-    // stream const -> construction sites (file order = sorted rel paths).
+    // stream variant -> construction sites (file order = sorted rel paths).
     let mut sites: BTreeMap<String, Vec<(usize, u32)>> = BTreeMap::new();
     for (fi, a) in ws.files.iter().enumerate() {
         let f = &a.file;
@@ -51,18 +51,15 @@ fn duplicate_sites(ws: &Workspace<'_>, out: &mut Vec<Diagnostic>) {
             continue;
         }
         for k in 0..f.code.len() {
-            let (open, line) = if f.text(k) == "stream_rng" && f.text(k + 1) == "(" {
-                (k + 1, f.line(k))
-            } else if f.text(k) == "." && f.text(k + 1) == "named" && f.text(k + 2) == "(" {
-                (k + 2, f.line(k + 1))
-            } else {
+            if f.text(k) != "stream_rng" || f.text(k + 1) != "(" {
                 continue;
-            };
+            }
+            let line = f.line(k);
             if f.in_test(line) {
                 continue;
             }
-            let (args, _) = call_args(f, open);
-            let stream = args.iter().find_map(|&(a1, b1)| streams_const(f, a1, b1));
+            let (args, _) = call_args(f, k + 1);
+            let stream = args.iter().find_map(|&(a1, b1)| stream_variant(f, a1, b1));
             if let Some(s) = stream {
                 sites.entry(s).or_default().push((fi, line));
             }
@@ -80,7 +77,7 @@ fn duplicate_sites(ws: &Workspace<'_>, out: &mut Vec<Diagnostic>) {
                 line,
                 "D7",
                 format!(
-                    "RNG stream `streams::{stream}` constructed at {} sites (first at {first}) \
+                    "RNG stream `Stream::{stream}` constructed at {} sites (first at {first}) \
                      — one stream, one construction site",
                     locs.len()
                 ),
@@ -93,7 +90,7 @@ fn duplicate_sites(ws: &Workspace<'_>, out: &mut Vec<Diagnostic>) {
 struct Birth {
     /// Bound name (`rng_mux`) — a local or a struct-literal field.
     name: String,
-    /// `streams::X` constant name.
+    /// `Stream::X` variant name.
     stream: String,
     line: u32,
     /// Code index of the name token.
@@ -139,7 +136,7 @@ fn handle_flows(ws: &Workspace<'_>, out: &mut Vec<Diagnostic>) {
                     birth.line,
                     "D7",
                     format!(
-                        "stream handle `{}` (streams::{}) flows into {} components: {} — \
+                        "stream handle `{}` (Stream::{}) flows into {} components: {} — \
                          one stream, one component",
                         birth.name,
                         birth.stream,
@@ -164,7 +161,7 @@ fn births(f: &SourceFile) -> Vec<Birth> {
             continue;
         }
         let (args, _) = call_args(f, k + 1);
-        let Some(stream) = args.iter().find_map(|&(a, b)| streams_const(f, a, b)) else {
+        let Some(stream) = args.iter().find_map(|&(a, b)| stream_variant(f, a, b)) else {
             continue;
         };
         // `let [mut] NAME = stream_rng(…)`

@@ -1,4 +1,4 @@
-//! Acceptance tests for the expression-level dataflow rules (D11–D13)
+//! Acceptance tests for the expression-level dataflow rules (D11, D12)
 //! and the `--fix` applier.
 //!
 //! The differential test uses the retired token-level D9 check as an
@@ -11,7 +11,7 @@
 use bpp_lint::graph::{Analysis, Workspace};
 use bpp_lint::lexer::lex;
 use bpp_lint::rules::units::d9_unit_discipline;
-use bpp_lint::rules::{ledger, reset, unit_infer, Diagnostic, SourceFile};
+use bpp_lint::rules::{ledger, unit_infer, Diagnostic, SourceFile};
 use bpp_lint::{fix, lint_root, workspace_root};
 use std::path::PathBuf;
 
@@ -93,23 +93,6 @@ fn d12_flags_leaky_and_double_counting_paths() {
         "the double-counted path must be flagged: {out:?}"
     );
     assert_eq!(out.len(), 2, "the sound twin must stay clean: {out:?}");
-}
-
-#[test]
-fn d13_flags_fields_the_restart_forgets() {
-    let files = vec![fixture_analysis("crates/server/src/admission.rs")];
-    let ws = Workspace::build(&files, Vec::new(), Vec::new());
-    let mut out = Vec::new();
-    reset::d13_reset_coverage(&ws, &mut out);
-    let fields: Vec<&str> = out
-        .iter()
-        .filter_map(|d| d.message.split('`').nth(1))
-        .collect();
-    assert_eq!(
-        fields,
-        ["admitted", "backlog"],
-        "exactly the two forgotten fields: {out:?}"
-    );
 }
 
 /// A hermetic scratch tree for the fix tests (no tempfile dependency).

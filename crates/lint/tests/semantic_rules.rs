@@ -25,7 +25,7 @@ fn seeded_shared_stream_handle_fails_with_file_line_rule() {
         analysis(
             "crates/core/src/run.rs",
             "pub fn run(seed: u64) {\n\
-             \x20   let mut rng = stream_rng(seed, streams::MUX);\n\
+             \x20   let mut rng = stream_rng(seed, Stream::Mux);\n\
              \x20   decide(&mut rng);\n\
              \x20   draw_think(&mut rng);\n\
              }\n",
@@ -59,7 +59,7 @@ fn handle_confined_to_one_component_is_clean() {
         analysis(
             "crates/core/src/run.rs",
             "pub fn run(seed: u64) {\n\
-             \x20   let mut rng = stream_rng(seed, streams::MC);\n\
+             \x20   let mut rng = stream_rng(seed, Stream::Mc);\n\
              \x20   draw_think(&mut rng);\n\
              \x20   draw_think(&mut rng);\n\
              }\n",
@@ -83,7 +83,7 @@ fn flow_is_tracked_through_a_helper_fn() {
         analysis(
             "crates/core/src/run.rs",
             "pub fn run(seed: u64) {\n\
-             \x20   let mut rng = stream_rng(seed, streams::VC);\n\
+             \x20   let mut rng = stream_rng(seed, Stream::Vc);\n\
              \x20   helper(&mut rng);\n\
              \x20   decide(&mut rng);\n\
              }\n\
@@ -109,8 +109,8 @@ fn flow_is_tracked_through_a_helper_fn() {
 fn duplicate_construction_sites_name_the_first_site() {
     let files = vec![analysis(
         "crates/core/src/run.rs",
-        "pub fn a(seed: u64) -> R { stream_rng(seed, streams::MC) }\n\
-         pub fn b(seed: u64) -> R { stream_rng(seed, streams::MC) }\n",
+        "pub fn a(seed: u64) -> R { stream_rng(seed, Stream::Mc) }\n\
+         pub fn b(seed: u64) -> R { stream_rng(seed, Stream::Mc) }\n",
     )];
     let ws = ws(&files);
     let mut out = Vec::new();

@@ -5,8 +5,24 @@
 #![expect(clippy::expect_used, reason = "test helpers abort on a bad fixture")]
 
 use bpp_lint::lexer::lex;
-use bpp_lint::lint_file;
 use bpp_lint::rules::{SourceFile, Suppressions};
+use bpp_lint::{lint_file, Report};
+
+/// Lint a scratch tree holding `src` as `crates/core/src/a.rs` and, when
+/// given, a root `lint_allow.txt`.
+fn lint_scratch(tag: &str, src: &str, allowlist: Option<&str>) -> Report {
+    let root = std::env::temp_dir().join(format!("bpp-lint-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let src_dir = root.join("crates").join("core").join("src");
+    std::fs::create_dir_all(&src_dir).expect("scratch tree must be creatable");
+    std::fs::write(src_dir.join("a.rs"), src).expect("scratch source must write");
+    if let Some(text) = allowlist {
+        std::fs::write(root.join("lint_allow.txt"), text).expect("scratch allowlist must write");
+    }
+    let report = bpp_lint::lint_root(&root, "scratch");
+    let _ = std::fs::remove_dir_all(&root);
+    report.expect("scratch tree must lint")
+}
 
 fn file(rel: &str, src: &str) -> SourceFile {
     SourceFile::new(rel.to_string(), lex(src).expect("test source must lex"))
@@ -29,29 +45,36 @@ fn directive_on_last_line_of_file_covers_its_own_line() {
 
 #[test]
 fn one_allow_lists_several_rules() {
-    let src = "pub fn f(seed: u64, x: f64) -> bool {\n    \
-               // bpp-lint: allow(D1, D4): fixture covering two rules at once\n    \
-               stream_rng(seed, 3).is_some() && x == 1.0\n}\n";
-    let f = file("crates/core/src/x.rs", src);
-    let (diags, suppressed) = lint_file(&f);
-    assert_eq!(diags, vec![], "both rules in the list must be suppressed");
+    let report = lint_scratch(
+        "multi",
+        "pub fn f(wait_bu: f64, hits_count: f64, x: f64) -> bool {\n    \
+         // bpp-lint: allow(D11, D4): fixture covering two rules at once\n    \
+         wait_bu + hits_count > 0.0 && x == 1.0\n\
+         }\n",
+        None,
+    );
     assert_eq!(
-        suppressed, 2,
-        "one magic stream (D1) plus one float == (D4)"
+        report.diagnostics,
+        vec![],
+        "both rules in the list must be suppressed"
+    );
+    assert_eq!(
+        report.suppressed, 2,
+        "one mixed-unit + (D11) plus one float == (D4)"
     );
 }
 
 #[test]
 fn multi_rule_list_still_rejects_unknown_names() {
-    let src = "// bpp-lint: allow(D1, D42, D4)\npub fn f() {}\n";
+    let src = "// bpp-lint: allow(D7, D42, D4)\npub fn f() {}\n";
     let f = file("crates/core/src/x.rs", src);
     let mut sup = Suppressions::parse(&f);
     assert_eq!(sup.problems.len(), 1, "D42 is not a registry rule");
     assert!(sup.problems[0].1.contains("D42"));
     // The known names around it still engage.
-    assert!(sup.covers("D1", 1));
+    assert!(sup.covers("D7", 1));
     assert!(sup.covers("D4", 2));
-    assert!(!sup.covers("D7", 1));
+    assert!(!sup.covers("D11", 1));
 }
 
 #[test]
@@ -99,13 +122,9 @@ fn directive_that_suppresses_nothing_is_a_d0_diagnostic() {
     // A scratch tree with one directive of each kind that fires (a line
     // directive, and an alias: D9 names D11's findings) and one of each
     // kind that does not (line, file-wide, allowlist).
-    let root = std::env::temp_dir().join(format!("bpp-lint-stale-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&root);
-    let src_dir = root.join("crates").join("core").join("src");
-    std::fs::create_dir_all(&src_dir).expect("scratch tree must be creatable");
-    std::fs::write(
-        src_dir.join("a.rs"),
-        "// bpp-lint: allow-file(D1): stale\n\
+    let report = lint_scratch(
+        "stale",
+        "// bpp-lint: allow-file(D12): stale\n\
          pub fn f(x: f64) -> bool {\n    \
          // bpp-lint: allow(D4): fires\n    \
          x == 1.0\n\
@@ -115,16 +134,8 @@ fn directive_that_suppresses_nothing_is_a_d0_diagnostic() {
          // bpp-lint: allow(D9): fires through the alias\n    \
          wait_bu + hits_count\n\
          }\n",
-    )
-    .expect("scratch source must write");
-    std::fs::write(
-        root.join("lint_allow.txt"),
-        "D7 crates/core/src/a.rs # stale\n",
-    )
-    .expect("scratch allowlist must write");
-    let report = bpp_lint::lint_root(&root, "scratch");
-    let _ = std::fs::remove_dir_all(&root);
-    let report = report.expect("scratch tree must lint");
+        Some("D7 crates/core/src/a.rs # stale\n"),
+    );
 
     let found: Vec<(&str, u32, &str)> = report
         .diagnostics
@@ -141,7 +152,7 @@ fn directive_that_suppresses_nothing_is_a_d0_diagnostic() {
         "exactly the three stale directives: {:?}",
         report.diagnostics
     );
-    assert!(report.diagnostics[0].message.contains("`allow-file(D1)`"));
+    assert!(report.diagnostics[0].message.contains("`allow-file(D12)`"));
     assert!(report.diagnostics[1].message.contains("`allow(D4)`"));
     assert!(report.diagnostics[2]
         .message

@@ -127,7 +127,6 @@ pub struct Admission {
     cfg: AdmissionConfig,
     tokens: f64,
     refilled_at: f64,
-    // bpp-lint: allow(D13): cumulative run accounting — the conservation ledger needs it across crashes
     stats: AdmissionStats,
 }
 
@@ -162,8 +161,19 @@ impl Admission {
     /// Cold restart after a crash: the bucket comes back *empty*, so the
     /// reconnect herd is paced at the refill rate from the first request.
     pub fn restart_cold(&mut self, now: f64) {
-        self.tokens = 0.0;
-        self.refilled_at = now;
+        // No `..`: a new field does not compile until it is wiped here or
+        // kept on purpose (`field: _`).
+        let Self {
+            // Configuration: the restarted bucket keeps its rate and burst.
+            cfg: _,
+            tokens,
+            refilled_at,
+            // Cumulative run accounting: the conservation ledger needs it
+            // across crashes.
+            stats: _,
+        } = self;
+        *tokens = 0.0;
+        *refilled_at = now;
     }
 
     /// The retry-after hint attached to rejections.

@@ -111,7 +111,6 @@ impl QueueStats {
 pub struct RequestQueue {
     capacity: usize,
     discipline: Discipline,
-    // bpp-lint: allow(D13): config knob — restart preserves the configured policy
     overflow: OverflowPolicy,
     order: VecDeque<PageId>,
     /// page -> number of coalesced requests waiting on it (>= 1).
@@ -120,7 +119,6 @@ pub struct RequestQueue {
     /// is on. Pure keyed storage — never iterated — so hash order cannot
     /// leak into behavior.
     enqueue_at: Option<HashMap<PageId, f64>>,
-    // bpp-lint: allow(D13): cumulative run accounting — the conservation ledger needs it across crashes
     stats: QueueStats,
 }
 
@@ -256,9 +254,23 @@ impl RequestQueue {
     /// not server memory.
     pub fn crash_drain(&mut self) -> u64 {
         let orphaned = self.pending_requests();
-        self.order.clear();
-        self.pending.clear();
-        if let Some(at) = &mut self.enqueue_at {
+        // No `..`: a new field does not compile until it is wiped here or
+        // kept on purpose (`field: _`).
+        let Self {
+            // Configuration: a restart keeps the configured queue.
+            capacity: _,
+            discipline: _,
+            overflow: _,
+            order,
+            pending,
+            enqueue_at,
+            // Cumulative run accounting: the conservation ledger needs it
+            // across crashes.
+            stats: _,
+        } = self;
+        order.clear();
+        pending.clear();
+        if let Some(at) = enqueue_at {
             at.clear();
         }
         orphaned

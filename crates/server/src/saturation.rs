@@ -147,7 +147,6 @@ pub struct SaturationDetector {
     policy: SaturationPolicy,
     occupancy: Ewma,
     saturated: bool,
-    // bpp-lint: allow(D13): run-history counters — deliberately survive a crash
     stats: SaturationStats,
 }
 
@@ -190,8 +189,17 @@ impl SaturationDetector {
     /// are volatile state and do not survive a restart. The history
     /// counters do — they belong to the run's ledger, not server memory.
     pub fn crash_reset(&mut self) {
-        self.occupancy = Ewma::new(self.policy.smoothing);
-        self.saturated = false;
+        // No `..`: a new field does not compile until it is wiped here or
+        // kept on purpose (`field: _`).
+        let Self {
+            policy,
+            occupancy,
+            saturated,
+            // Run-history counters: deliberately survive a crash.
+            stats: _,
+        } = self;
+        *occupancy = Ewma::new(policy.smoothing);
+        *saturated = false;
     }
 
     /// Whether the server is currently shedding pull bandwidth.

@@ -63,5 +63,5 @@ pub use approx::{approx_eq, exactly, exactly_zero};
 pub use bpp_obs::EngineObs;
 pub use engine::{Engine, EventId, Model, Scheduler, Time};
 pub use refsched::ReferenceScheduler;
-pub use rng::{stream_rng, Rng, Sample, SeedSeq, Xoshiro256pp};
+pub use rng::{stream_rng, Rng, Sample, Stream, Xoshiro256pp};
 pub use stats::{autocorrelation, BatchMeans, Confidence, Ewma, Histogram, TimeWeighted, Welford};

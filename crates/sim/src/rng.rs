@@ -152,41 +152,102 @@ impl Rng for Xoshiro256pp {
     }
 }
 
-/// Derive an independent generator for (`seed`, `stream`).
+/// The RNG stream registry: one variant per stochastic component.
+///
+/// Every stochastic component draws from `stream_rng(seed, Stream::X)`.
+/// The ids are stable across versions, because changing one component's
+/// draw count must never perturb the variates any other component sees
+/// (the common-random-numbers discipline behind all published figures).
+/// The compiler keeps the registry honest: a magic integer id does not
+/// type-check, a duplicate id is E0081, and an undocumented variant fails
+/// `missing_docs`.
+///
+/// | id | variant     | owner                               | drawn when            |
+/// |----|-------------|-------------------------------------|-----------------------|
+/// | 0  | `Mux`       | `bpp_server::BandwidthMux`          | every slot boundary   |
+/// | 1  | `Mc`        | Measured Client think/access        | every MC access       |
+/// | 2  | `Vc`        | Virtual Client population           | every VC access       |
+/// | 3  | `Noise`     | `bpp_workload::NoisePermutation`    | once at build         |
+/// | 4  | `Update`    | server-side update process          | per update tick       |
+/// | 5  | `FaultLoss` | fault model, frontchannel           | `broadcast_loss > 0`  |
+/// | 6  | `FaultReq`  | fault model, backchannel            | `request_loss > 0`    |
+/// | 7  | `Retry`     | `bpp_client::retry` jitter          | `jitter > 0`          |
+/// | 8  | `Fleet`     | `bpp_client::arena` client fleet    | `population` = fleet  |
+/// | 9  | `Crash`     | crash model, MTBF inter-crash draws | `crash.mtbf > 0`      |
+///
+/// Streams 0–4 are golden-pinned from the base system; 5–7 belong to the
+/// fault model and are seeded only when the corresponding knob is enabled;
+/// 8 belongs to the million-client extension and is drawn only when
+/// `population` selects a real fleet; 9 belongs to the crash–recovery
+/// domain and is seeded only when `crash.mtbf > 0` (an explicit crash
+/// schedule draws nothing).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u64)]
+pub enum Stream {
+    /// 0 — server bandwidth MUX coin (`bpp_server::BandwidthMux`), one
+    /// draw per slot boundary.
+    Mux = 0,
+    /// 1 — Measured Client think times and access draws.
+    Mc = 1,
+    /// 2 — Virtual Client population think times and access draws.
+    Vc = 2,
+    /// 3 — noise permutation of the access pattern
+    /// (`bpp_workload::NoisePermutation`), drawn once at world build.
+    Noise = 3,
+    /// 4 — server-side update process (page staleness experiments).
+    Update = 4,
+    /// 5 — fault model: frontchannel page-loss coins, one per
+    /// page-carrying slot, drawn only when `broadcast_loss > 0`.
+    FaultLoss = 5,
+    /// 6 — fault model: backchannel request-transit coins, one per send
+    /// (position depends only on the send count, never on server state).
+    FaultReq = 6,
+    /// 7 — retry backoff jitter (`bpp_client::retry`), drawn only when
+    /// `jitter > 0`.
+    Retry = 7,
+    /// 8 — the arena client fleet (`bpp_client::arena`): think times,
+    /// access draws and retry jitter of every fleet client, drawn only
+    /// when `population` selects a real fleet (`fleet_clients > 0`).
+    Fleet = 8,
+    /// 9 — crash model: exponential inter-crash draws, one per crash,
+    /// seeded and drawn only when `crash.mtbf > 0` (explicit schedules
+    /// are deterministic and draw nothing).
+    Crash = 9,
+}
+
+/// Derive the independent generator of registry stream `stream` under
+/// `seed`.
 ///
 /// The same pair always yields the same generator; distinct streams under
 /// the same seed are decorrelated by two SplitMix64 rounds.
-pub fn stream_rng(seed: u64, stream: u64) -> Xoshiro256pp {
+///
+/// ```
+/// use bpp_sim::{stream_rng, Stream};
+/// assert_eq!(stream_rng(42, Stream::Retry), stream_rng(42, Stream::Retry));
+/// ```
+///
+/// Only a [`Stream`] names a stream, so a magic id does not compile:
+///
+/// ```compile_fail,E0308
+/// let rng = bpp_sim::stream_rng(42, 7);
+/// ```
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the typed entry point is the raw mixer's one library caller"
+)]
+pub fn stream_rng(seed: u64, stream: Stream) -> Xoshiro256pp {
+    stream_rng_raw(seed, stream as u64)
+}
+
+/// The raw mixer behind [`stream_rng`], keyed by any `u64`.
+///
+/// Banned by `clippy.toml` (`disallowed-methods`): simulator components
+/// name a [`Stream`]. [`stream_rng`] and the property tests that derive
+/// one generator per case index expect the lint.
+pub fn stream_rng_raw(seed: u64, stream: u64) -> Xoshiro256pp {
     let mixed =
         splitmix64(splitmix64(seed) ^ splitmix64(stream.wrapping_mul(0xA24B_AED4_963E_E407)));
     Xoshiro256pp::seed_from_u64(mixed)
-}
-
-/// A seed sequence: hands out numbered sub-seeds from a root seed, for
-/// components that themselves need several generators.
-#[derive(Debug, Clone, Copy)]
-pub struct SeedSeq {
-    root: u64,
-    next: u64,
-}
-
-impl SeedSeq {
-    /// Start a sequence from `root`.
-    pub fn new(root: u64) -> Self {
-        SeedSeq { root, next: 0 }
-    }
-
-    /// The next generator in the sequence.
-    pub fn next_rng(&mut self) -> Xoshiro256pp {
-        let s = self.next;
-        self.next += 1;
-        stream_rng(self.root, s)
-    }
-
-    /// A generator for an explicit stream id (does not advance the sequence).
-    pub fn named(&self, stream: u64) -> Xoshiro256pp {
-        stream_rng(self.root, stream)
-    }
 }
 
 #[cfg(test)]
@@ -195,8 +256,8 @@ mod tests {
 
     #[test]
     fn same_seed_same_stream_is_reproducible() {
-        let mut a = stream_rng(42, 7);
-        let mut b = stream_rng(42, 7);
+        let mut a = stream_rng(42, Stream::Retry);
+        let mut b = stream_rng(42, Stream::Retry);
         for _ in 0..100 {
             assert_eq!(a.random::<u64>(), b.random::<u64>());
         }
@@ -204,8 +265,8 @@ mod tests {
 
     #[test]
     fn different_streams_diverge() {
-        let mut a = stream_rng(42, 0);
-        let mut b = stream_rng(42, 1);
+        let mut a = stream_rng(42, Stream::Mux);
+        let mut b = stream_rng(42, Stream::Mc);
         let same = (0..64)
             .filter(|_| a.random::<u64>() == b.random::<u64>())
             .count();
@@ -214,8 +275,8 @@ mod tests {
 
     #[test]
     fn different_seeds_diverge() {
-        let mut a = stream_rng(1, 0);
-        let mut b = stream_rng(2, 0);
+        let mut a = stream_rng(1, Stream::Mux);
+        let mut b = stream_rng(2, Stream::Mux);
         let same = (0..64)
             .filter(|_| a.random::<u64>() == b.random::<u64>())
             .count();
@@ -223,26 +284,12 @@ mod tests {
     }
 
     #[test]
-    fn seed_seq_hands_out_distinct_generators() {
-        let mut seq = SeedSeq::new(9);
-        let mut a = seq.next_rng();
-        let mut b = seq.next_rng();
-        assert_ne!(a.random::<u64>(), b.random::<u64>());
-    }
-
-    #[test]
-    fn named_stream_matches_stream_rng() {
-        let seq = SeedSeq::new(5);
-        let mut a = seq.named(3);
-        let mut b = stream_rng(5, 3);
-        assert_eq!(a.random::<u64>(), b.random::<u64>());
-    }
-
-    #[test]
     fn splitmix_distributes_low_entropy_seeds() {
         // Seeds 0..16 must produce well-spread first outputs (sanity check
         // against accidentally feeding raw counters to the generator).
-        let firsts: Vec<u64> = (0..16).map(|s| stream_rng(s, 0).random::<u64>()).collect();
+        let firsts: Vec<u64> = (0..16)
+            .map(|s| stream_rng(s, Stream::Mux).random::<u64>())
+            .collect();
         let mut sorted = firsts.clone();
         sorted.sort_unstable();
         sorted.dedup();
@@ -251,7 +298,7 @@ mod tests {
 
     #[test]
     fn f64_samples_are_unit_interval() {
-        let mut rng = stream_rng(1, 1);
+        let mut rng = stream_rng(1, Stream::Mc);
         let mut min = 1.0f64;
         let mut max = 0.0f64;
         for _ in 0..100_000 {
@@ -266,7 +313,7 @@ mod tests {
 
     #[test]
     fn random_range_is_unbiased_and_in_bounds() {
-        let mut rng = stream_rng(2, 2);
+        let mut rng = stream_rng(2, Stream::Vc);
         let mut counts = [0u32; 7];
         let n = 140_000;
         for _ in 0..n {
@@ -284,20 +331,20 @@ mod tests {
     #[test]
     #[should_panic(expected = "empty range")]
     fn empty_range_panics() {
-        stream_rng(0, 0).random_range(5..5);
+        stream_rng(0, Stream::Mux).random_range(5..5);
     }
 
     #[test]
     fn random_bool_tracks_probability_and_stream_alignment() {
-        let mut rng = stream_rng(3, 3);
+        let mut rng = stream_rng(3, Stream::Noise);
         let n = 100_000;
         let heads = (0..n).filter(|_| rng.random_bool(0.3)).count();
         let frac = heads as f64 / n as f64;
         assert!((frac - 0.3).abs() < 0.01, "frac {frac}");
         // Degenerate probabilities still consume exactly one variate each,
         // so downstream draws stay aligned across configurations.
-        let mut a = stream_rng(4, 4);
-        let mut b = stream_rng(4, 4);
+        let mut a = stream_rng(4, Stream::Update);
+        let mut b = stream_rng(4, Stream::Update);
         assert!(!a.random_bool(0.0));
         assert!(b.random_bool(1.0));
         assert_eq!(a.random::<u64>(), b.random::<u64>());
@@ -313,15 +360,15 @@ mod tests {
     fn rng_streams_are_pinned_forever() {
         // Filled in from the first run of this implementation; verified
         // stable across rebuilds and platforms (pure integer arithmetic).
-        let golden: [(u64, u64, [u64; 8]); 3] = [
-            (0, 0, GOLDEN_0_0),
-            (42, 7, GOLDEN_42_7),
-            (0x5EED_B0DC, 4, GOLDEN_5EEDB0DC_4),
+        let golden: [(u64, Stream, [u64; 8]); 3] = [
+            (0, Stream::Mux, GOLDEN_0_0),
+            (42, Stream::Retry, GOLDEN_42_7),
+            (0x5EED_B0DC, Stream::Update, GOLDEN_5EEDB0DC_4),
         ];
         for (seed, stream, want) in golden {
             let mut rng = stream_rng(seed, stream);
             let got: Vec<u64> = (0..8).map(|_| rng.random::<u64>()).collect();
-            assert_eq!(got, want, "stream_rng({seed}, {stream}) drifted");
+            assert_eq!(got, want, "stream_rng({seed}, {stream:?}) drifted");
         }
     }
 
