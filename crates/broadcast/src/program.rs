@@ -259,12 +259,8 @@ impl BroadcastProgram {
         reason = "membership is the V0-verified coverage invariant"
     )]
     pub fn slots_until_present(&self, page: PageId, cursor: usize) -> usize {
-        debug_assert!(
-            self.contains(page),
-            "{page} is not on the broadcast — V0 coverage guarantees broadcast membership"
-        );
         self.slots_until(page, cursor)
-            .expect("page is on the broadcast (bpp-verify V0 coverage)")
+            .expect("page is not on the broadcast (a bpp-verify V0 coverage violation)")
     }
 
     /// Expected number of push slots (inclusive) a client arriving at a

@@ -14,9 +14,12 @@
 //! * The queue is a hashed hierarchical timer wheel (11 levels × 64 slots,
 //!   6 bits per level — 66 bits, so every `u64` tick is addressable and the
 //!   top levels double as the overflow range). `schedule` and `cancel` are
-//!   O(1): an event's integer tick (`time as u64`) picks its bucket directly
-//!   and a seq → bucket map lets `cancel` delete the entry in place — no
-//!   tombstones, no lazy pops, and `pending()` is exactly the live count.
+//!   O(1): an event's integer tick (`time as u64`) picks its bucket directly,
+//!   and a slab of handles records each pending event's bucket and position,
+//!   so `cancel` deletes the entry in place — no tombstones, no lazy pops,
+//!   and `pending()` is exactly the live count. An [`EventId`] names a slab
+//!   slot plus the event's seq; slots are reused, seqs never are, so a stale
+//!   id cannot cancel the slot's next occupant.
 //! * Determinism: buckets are ordered by actual `(time, seq)` when they
 //!   become the dispatch head, so the wheel reproduces the exact total order
 //!   a priority queue would produce. Equal times share a tick and therefore
@@ -25,15 +28,22 @@
 
 use bpp_obs::EngineObs;
 use std::cmp::Ordering;
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 
 /// Simulated time in broadcast units (the time to broadcast one page).
 pub type Time = f64;
 
 /// Handle for a scheduled event, usable with [`Scheduler::cancel`].
+///
+/// `slot` indexes the scheduler's handle slab and `seq` is the event's
+/// schedule sequence number. A slot is reused once its event fires or is
+/// cancelled, but seqs are unique for the scheduler's lifetime, so the
+/// seq doubles as the slot's generation tag: an id whose seq no longer
+/// matches its slot is stale.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct EventId(u64);
+pub struct EventId {
+    slot: u32,
+    seq: u64,
+}
 
 /// A simulation model: owns the domain state and interprets events.
 ///
@@ -58,36 +68,18 @@ pub trait Model: Sized {
 struct Scheduled<E> {
     time: Time,
     seq: u64,
+    /// The event's slab slot, so moves within a bucket can update its `pos`.
+    slot: u32,
     event: E,
 }
 
-/// Deterministic hasher for the seq → bucket map. Keys are single `u64`
-/// seqs, so one splitmix64 finalizer round (full avalanche, ~4 ns) replaces
-/// SipHash — the map sits on the schedule/cancel/pop hot path, where the
-/// default hasher dominated the cost of the whole operation. Seed-free and
-/// process-independent, so it cannot reintroduce nondeterminism.
-#[derive(Default)]
-struct SeqHasher(u64);
-
-impl Hasher for SeqHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write_u64(&mut self, x: u64) {
-        let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        self.0 = z ^ (z >> 31);
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        // Unused (keys hash via `write_u64`); FNV-1a keeps it correct for
-        // any future caller.
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
+/// Where a pending event sits: `buckets[bucket][pos]`. `seq` identifies the
+/// occupant, so an [`EventId`] from an earlier occupant fails to match.
+#[derive(Clone, Copy)]
+struct Handle {
+    seq: u64,
+    bucket: u16,
+    pos: u32,
 }
 
 /// Bits per wheel level; each level indexes 64 slots.
@@ -101,6 +93,9 @@ const SLOT_MASK: u64 = (SLOTS as u64) - 1;
 const LEVELS: usize = 11;
 /// Total buckets across all levels (flat index = level · 64 + slot).
 const BUCKETS: usize = LEVELS * SLOTS;
+/// `Handle::bucket` of a free slab slot; never a real bucket index.
+const FREE: u16 = u16::MAX;
+const _: () = assert!(BUCKETS < FREE as usize);
 
 /// The pending-event queue: a hashed hierarchical timer wheel. Handed to
 /// [`Model::handle`] so models can plant future events while reacting to the
@@ -127,15 +122,21 @@ const BUCKETS: usize = LEVELS * SLOTS;
 /// once and popped from the back; inserts landing in it keep it sorted via
 /// binary search, so the amortised cost stays O(1) per event for the
 /// simulator's workloads.
+///
+/// Every pending event owns one slot of `slab`, which holds its bucket and
+/// its position in that bucket; every move of an entry within or between
+/// buckets rewrites that position, so `cancel` finds its entry with two
+/// array reads. Fired and cancelled slots go on the `free` list and are
+/// reused, so the slab's length is the peak pending count.
 pub struct Scheduler<E> {
     buckets: Vec<Vec<Scheduled<E>>>,
     /// Per-level occupancy bitmask: bit `s` set ⟺ bucket (level, s) is
     /// non-empty. Kept exact on every insert and delete.
     occ: [u64; LEVELS],
-    /// seq → flat bucket index, for O(1) cancellation with true deletion.
-    /// Never iterated (hash order is nondeterministic); `len()` is the live
-    /// event count.
-    location: HashMap<u64, u16, BuildHasherDefault<SeqHasher>>,
+    /// Handle per slot; a free slot has `bucket == FREE`.
+    slab: Vec<Handle>,
+    /// Free slots of `slab`, reused last-in first-out.
+    free: Vec<u32>,
     /// Flat index of the bucket currently being drained (sorted descending
     /// by `(time, seq)`), if any. Always a level-0 bucket, always non-empty.
     cur_bucket: Option<u16>,
@@ -151,10 +152,8 @@ impl<E> Scheduler<E> {
         Scheduler {
             buckets: (0..BUCKETS).map(|_| Vec::new()).collect(),
             occ: [0; LEVELS],
-            // Pre-size past the rehash-growth cliff: the doubling walk from
-            // the default capacity re-copies every entry several times
-            // before a typical run's pending set (hundreds of events) fits.
-            location: HashMap::with_capacity_and_hasher(1024, BuildHasherDefault::default()),
+            slab: Vec::new(),
+            free: Vec::new(),
             cur_bucket: None,
             wheel_pos: 0,
             next_seq: 0,
@@ -177,12 +176,29 @@ impl<E> Scheduler<E> {
         );
         let seq = self.next_seq;
         self.next_seq += 1;
+        let handle = Handle {
+            seq,
+            bucket: FREE,
+            pos: 0,
+        };
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slab[slot as usize] = handle;
+                slot
+            }
+            None => {
+                // Slots are bounded by the pending count, far below 2³².
+                self.slab.push(handle);
+                (self.slab.len() - 1) as u32
+            }
+        };
         self.place(Scheduled {
             time: at,
             seq,
+            slot,
             event,
         });
-        EventId(seq)
+        EventId { slot, seq }
     }
 
     /// Schedule `event` after a non-negative `delay` from now.
@@ -199,26 +215,32 @@ impl<E> Scheduler<E> {
     /// Returns `true` if the event had not yet fired (or been cancelled);
     /// cancelling an already-fired event is a no-op.
     pub fn cancel(&mut self, id: EventId) -> bool {
-        let Some(b) = self.location.remove(&id.0) else {
+        let Some(&h) = self.slab.get(id.slot as usize) else {
             return false;
         };
-        let b = b as usize;
-        let Some(idx) = self.buckets[b].iter().position(|e| e.seq == id.0) else {
-            // The location map is updated on every insert, pop, and delete,
-            // so a mapped seq is always present in its named bucket.
-            debug_assert!(false, "location map names a bucket without the event");
+        if h.bucket == FREE || h.seq != id.seq {
             return false;
-        };
-        if self.cur_bucket == Some(b as u16) {
+        }
+        let (b, pos) = (h.bucket as usize, h.pos as usize);
+        debug_assert_eq!(
+            self.buckets[b][pos].seq, id.seq,
+            "slab names a stale position"
+        );
+        if self.cur_bucket == Some(h.bucket) {
             // The head bucket is sorted; an order-preserving remove keeps it
             // valid for back-popping.
-            self.buckets[b].remove(idx);
+            self.buckets[b].remove(pos);
+            self.renumber(b, pos);
         } else {
-            self.buckets[b].swap_remove(idx);
+            self.buckets[b].swap_remove(pos);
+            if let Some(moved) = self.buckets[b].get(pos) {
+                self.slab[moved.slot as usize].pos = pos as u32;
+            }
         }
+        self.release(id.slot);
         if self.buckets[b].is_empty() {
             self.occ[b / SLOTS] &= !(1 << (b % SLOTS));
-            if self.cur_bucket == Some(b as u16) {
+            if self.cur_bucket == Some(h.bucket) {
                 self.cur_bucket = None;
             }
         }
@@ -228,7 +250,7 @@ impl<E> Scheduler<E> {
     /// Number of pending (live) events. Cancelled events are deleted
     /// outright, so this is exactly the count of events that can still fire.
     pub fn pending(&self) -> usize {
-        self.location.len()
+        self.slab.len() - self.free.len()
     }
 
     /// Time of the next live event, or `None` when nothing remains. May
@@ -242,7 +264,20 @@ impl<E> Scheduler<E> {
         self.buckets[b].last().map(|s| s.time)
     }
 
-    /// Route an entry to its bucket and record it in the location map.
+    /// Return `slot` to the free list.
+    fn release(&mut self, slot: u32) {
+        self.slab[slot as usize].bucket = FREE;
+        self.free.push(slot);
+    }
+
+    /// Rewrite the slab position of every entry of bucket `b` from `from` on.
+    fn renumber(&mut self, b: usize, from: usize) {
+        for (pos, s) in self.buckets[b].iter().enumerate().skip(from) {
+            self.slab[s.slot as usize].pos = pos as u32;
+        }
+    }
+
+    /// Route an entry to its bucket and record its position in the slab.
     fn place(&mut self, s: Scheduled<E>) {
         let tick = s.time as u64;
         let b = if tick <= self.wheel_pos {
@@ -255,7 +290,7 @@ impl<E> Scheduler<E> {
             let level = high / BITS;
             level * SLOTS + ((tick >> (level * BITS)) & SLOT_MASK) as usize
         };
-        self.location.insert(s.seq, b as u16);
+        self.slab[s.slot as usize].bucket = b as u16;
         if self.buckets[b].is_empty() {
             self.occ[b / SLOTS] |= 1 << (b % SLOTS);
         }
@@ -267,7 +302,9 @@ impl<E> Scheduler<E> {
                     || (e.time.total_cmp(&s.time) == Ordering::Equal && e.seq > s.seq)
             });
             self.buckets[b].insert(idx, s);
+            self.renumber(b, idx);
         } else {
+            self.slab[s.slot as usize].pos = self.buckets[b].len() as u32;
             self.buckets[b].push(s);
         }
     }
@@ -290,6 +327,7 @@ impl<E> Scheduler<E> {
                 self.buckets[b].sort_unstable_by(|a, z| {
                     z.time.total_cmp(&a.time).then_with(|| z.seq.cmp(&a.seq))
                 });
+                self.renumber(b, 0);
                 self.cur_bucket = Some(b as u16);
                 return true;
             }
@@ -322,7 +360,7 @@ impl<E> Scheduler<E> {
         }
         let b = self.cur_bucket? as usize;
         let s = self.buckets[b].pop()?;
-        self.location.remove(&s.seq);
+        self.release(s.slot);
         if self.buckets[b].is_empty() {
             self.occ[b / SLOTS] &= !(1 << (b % SLOTS));
             self.cur_bucket = None;
@@ -524,7 +562,49 @@ mod tests {
     #[test]
     fn cancel_unknown_id_is_noop() {
         let mut e = engine();
-        assert!(!e.scheduler().cancel(EventId(1234)));
+        let live = e.scheduler().schedule_at(1.0, Ev::Tag(0));
+        assert_eq!(live, EventId { slot: 0, seq: 0 });
+        // An unallocated slot, and a live slot under a seq it never held.
+        assert!(!e.scheduler().cancel(EventId { slot: 1234, seq: 0 }));
+        assert!(!e.scheduler().cancel(EventId { slot: 0, seq: 1234 }));
+        assert_eq!(e.scheduler().pending(), 1);
+        e.run_to_completion();
+        assert_eq!(e.model().log, vec![(1.0, 0)]);
+    }
+
+    #[test]
+    fn stale_id_cannot_cancel_reused_slot() {
+        let mut e = engine();
+        let a = e.scheduler().schedule_at(1.0, Ev::Tag(1));
+        e.run_to_completion();
+        let b = e.scheduler().schedule_at(2.0, Ev::Tag(2));
+        assert_eq!(a.slot, b.slot, "B reuses A's freed slot");
+        assert!(!e.scheduler().cancel(a), "A already fired");
+        assert_eq!(e.scheduler().pending(), 1);
+        e.run_to_completion();
+        assert_eq!(e.model().log, vec![(1.0, 1), (2.0, 2)]);
+        assert!(!e.scheduler().cancel(b));
+    }
+
+    #[test]
+    fn slab_stays_bounded_by_peak_pending() {
+        // A leaking free list would grow the slab on every schedule.
+        let mut e = engine();
+        for i in 0..3 {
+            e.scheduler().schedule_at(f64::from(i), Ev::Tag(i));
+        }
+        for i in 3..10_003 {
+            assert!(e.step());
+            e.scheduler().schedule_in(1.5, Ev::Tag(i));
+            assert_eq!(e.scheduler().pending(), 3);
+        }
+        assert!(
+            e.sched.slab.len() <= 3,
+            "slab grew to {}",
+            e.sched.slab.len()
+        );
+        e.run_to_completion();
+        assert_eq!(e.dispatched(), 10_003);
     }
 
     #[test]

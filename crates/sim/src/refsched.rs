@@ -9,10 +9,11 @@
 //! identical dispatch logs, head times, and pending counts. It is not used
 //! by any simulation path.
 //!
-//! Event handles are plain `u64` sequence numbers (the wheel's opaque
-//! [`crate::EventId`] cannot be constructed outside its module); the n-th
-//! `schedule_at` call on either implementation gets the same number, so a
-//! driver can cancel "the same event" on both sides.
+//! Event handles are plain `u64` sequence numbers. The wheel's opaque
+//! [`crate::EventId`] is a slab slot plus that same seq, and cannot be
+//! constructed outside its module. The n-th `schedule_at` call on either
+//! implementation gets the same seq, so a driver can cancel "the same
+//! event" on both sides.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;

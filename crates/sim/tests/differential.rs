@@ -7,7 +7,9 @@
 //! simulator uses them); the heap side is driven through
 //! [`ReferenceScheduler::drain_until`]. Both sides see identical operation
 //! streams; after every drain the `(time, tag)` dispatch logs, pending
-//! counts, and head times must agree.
+//! counts, and head times must agree. Handles of fired and cancelled events
+//! are kept and cancelled again later, so a stale [`EventId`] meets a
+//! wheel slot that a newer event has reused.
 
 use bpp_sim::{Engine, EventId, Model, ReferenceScheduler, Rng, Scheduler, Time, Xoshiro256pp};
 
@@ -25,8 +27,9 @@ impl Model for Recorder {
 
 /// One differential run: `ops` random operations under `seed`.
 ///
-/// Live events are tracked as `(wheel_id, heap_seq, tag)` triples so a
-/// cancel targets "the same event" on both sides. The op mix leans on the
+/// Events are tracked as `(wheel_id, heap_seq, tag)` triples so a cancel
+/// targets "the same event" on both sides: `live` holds the pending ones,
+/// `stale` the fired and cancelled ones, whose cancel must fail on both. The op mix leans on the
 /// shapes the simulator produces: same-instant bursts, zero delays, short
 /// think-time hops, and rare far-future jumps that cross wheel levels.
 fn differential_run(seed: u64, ops: usize) {
@@ -35,6 +38,7 @@ fn differential_run(seed: u64, ops: usize) {
     let mut heap: ReferenceScheduler<u32> = ReferenceScheduler::new();
     let mut heap_log: Vec<(Time, u32)> = Vec::new();
     let mut live: Vec<(EventId, u64, u32)> = Vec::new();
+    let mut stale: Vec<(EventId, u64, u32)> = Vec::new();
     let mut next_tag: u32 = 0;
 
     let schedule = |wheel: &mut Engine<Recorder>,
@@ -67,25 +71,45 @@ fn differential_run(seed: u64, ops: usize) {
                 let delay = 50.0 + rng.random::<f64>() * 10_000.0;
                 schedule(&mut wheel, &mut heap, &mut live, &mut next_tag, delay);
             }
-            // Cancel a random tracked event; both sides must agree on
-            // whether it was still live.
-            5 | 6 => {
+            // Cancel a random live event; both sides must agree that it
+            // was still live.
+            5 => {
                 if !live.is_empty() {
                     let k = rng.random_range(0..live.len());
-                    let (wid, hid, _) = live.swap_remove(k);
+                    let (wid, hid, tag) = live.swap_remove(k);
                     let a = wheel.scheduler().cancel(wid);
                     let b = heap.cancel(hid);
                     assert_eq!(a, b, "cancel disagreement (seed {seed})");
+                    stale.push((wid, hid, tag));
+                }
+            }
+            // Cancel a fired or cancelled event: a no-op on both sides, even
+            // when the wheel has handed its slot to a newer pending event.
+            6 => {
+                if !stale.is_empty() {
+                    let k = rng.random_range(0..stale.len());
+                    let (wid, hid, _) = stale[k];
+                    assert!(
+                        !wheel.scheduler().cancel(wid),
+                        "stale wheel id cancelled an event (seed {seed})"
+                    );
+                    assert!(!heap.cancel(hid), "stale heap seq cancelled (seed {seed})");
+                    assert_eq!(
+                        wheel.scheduler().pending(),
+                        heap.pending(),
+                        "pending counts diverged after a stale cancel (seed {seed})"
+                    );
                 }
             }
             // Reschedule: cancel + replant at a fresh time.
             7 => {
                 if !live.is_empty() {
                     let k = rng.random_range(0..live.len());
-                    let (wid, hid, _) = live.swap_remove(k);
+                    let (wid, hid, tag) = live.swap_remove(k);
                     let a = wheel.scheduler().cancel(wid);
                     let b = heap.cancel(hid);
                     assert_eq!(a, b, "cancel disagreement (seed {seed})");
+                    stale.push((wid, hid, tag));
                     let delay = rng.random::<f64>() * 64.0;
                     schedule(&mut wheel, &mut heap, &mut live, &mut next_tag, delay);
                 }
@@ -99,6 +123,7 @@ fn differential_run(seed: u64, ops: usize) {
                     _ => rng.random::<f64>() * 300.0,
                 };
                 let t = wheel.now() + dt;
+                let drained_from = heap_log.len();
                 wheel.run_until(t);
                 heap_log.extend(heap.drain_until(t));
                 assert_eq!(
@@ -116,7 +141,15 @@ fn differential_run(seed: u64, ops: usize) {
                     heap.peek_live(),
                     "head times diverged (seed {seed})"
                 );
-                live.retain(|&(_, _, tag)| !heap_log.iter().any(|&(_, t2)| t2 == tag));
+                let fired: Vec<u32> = heap_log[drained_from..]
+                    .iter()
+                    .map(|&(_, tag)| tag)
+                    .collect();
+                let (gone, pending): (Vec<_>, Vec<_>) = std::mem::take(&mut live)
+                    .into_iter()
+                    .partition(|&(_, _, tag)| fired.contains(&tag));
+                stale.extend(gone);
+                live = pending;
             }
         }
     }

@@ -21,6 +21,9 @@ cargo test -q --frozen
 # The fault-injection suite runs as part of the workspace tests above, but
 # gate on it explicitly so a filtered/partial test invocation can't skip it.
 cargo test -q --frozen -p bpp-core --test faults
+# Likewise the timer wheel's differential test against the reference heap
+# scheduler, on which the wheel's correctness rests.
+cargo test -q --frozen -p bpp-sim --test differential
 # Clippy carries the determinism and panic-hygiene rules (the lint table
 # in Cargo.toml, banned types and methods in clippy.toml).
 cargo clippy --all-targets --frozen -- -D warnings
