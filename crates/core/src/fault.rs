@@ -8,8 +8,9 @@
 //!   `Stream::FaultLoss` RNG stream decides whether every listener misses
 //!   the page ([`FaultLayer::page_lost`]);
 //! * **backchannel** — one coin per sent request on the
-//!   `Stream::FaultReq` stream ([`FaultLayer::deliver`]), then a clock check against the brownout
-//!   window (no randomness), then the ordinary queue admission path;
+//!   `Stream::FaultReq` stream ([`FaultLayer::transit_lost`]), then a
+//!   clock check against the brownout window ([`FaultLayer::in_brownout`],
+//!   no randomness), then the ordinary queue admission path;
 //! * **client retries** and **server degradation** live in `bpp-client` /
 //!   `bpp-server`; their counters are folded into the same report.
 //!
@@ -27,9 +28,7 @@
 //! subsystem.
 
 use crate::config::FaultConfig;
-use bpp_broadcast::PageId;
 use bpp_json::{Json, ToJson};
-use bpp_server::RequestQueue;
 use bpp_sim::{Rng, Xoshiro256pp};
 
 /// Channel-level loss counters accumulated by a [`FaultLayer`].
@@ -51,7 +50,9 @@ pub struct FaultLayer {
     cfg: FaultConfig,
     rng_loss: Xoshiro256pp,
     rng_req: Xoshiro256pp,
-    counters: FaultCounters,
+    /// Bumped by `page_lost` and, per send outcome, by the `World`'s
+    /// backchannel send path.
+    pub(crate) counters: FaultCounters,
 }
 
 impl FaultLayer {
@@ -83,50 +84,20 @@ impl FaultLayer {
     /// Flip the transit coin for one backchannel send. The coin is flipped
     /// on *every* send — including sends into a brownout or at a crashed
     /// server — so the `Stream::FaultReq` position depends only on the
-    /// number of sends, not on server-side state.
+    /// number of sends, not on server-side state. Draws nothing when
+    /// `request_loss` is zero, and counts nothing: the send path counts
+    /// each send's outcome once.
     pub fn transit_lost(&mut self) -> bool {
-        let lost = self.cfg.request_loss > 0.0 && self.rng_req.random_bool(self.cfg.request_loss);
-        if lost {
-            self.counters.requests_lost += 1;
-        }
-        lost
+        self.cfg.request_loss > 0.0 && self.rng_req.random_bool(self.cfg.request_loss)
     }
 
-    /// Whether a brownout window covers `now` — the pure query behind
-    /// [`FaultLayer::brownout_discard`], counting nothing. The K-channel
-    /// world samples it per channel (with each channel's phase shift) for
-    /// the `fault.ch<k>.state` observability timelines.
+    /// Whether a brownout window covers `now` (a clock check, no
+    /// randomness). The send path discards a request that arrives inside
+    /// one; the K-channel world also samples it per channel (with each
+    /// channel's phase shift) for the `fault.ch<k>.state` observability
+    /// timelines.
     pub fn in_brownout(&self, now: f64) -> bool {
         self.cfg.in_brownout(now)
-    }
-
-    /// Clock check against the brownout window (no randomness); counts and
-    /// returns `true` when the server discards the request.
-    pub fn brownout_discard(&mut self, now: f64) -> bool {
-        let browned = self.cfg.in_brownout(now);
-        if browned {
-            self.counters.requests_browned_out += 1;
-        }
-        browned
-    }
-
-    /// Carry one request over the backchannel toward `queue`: it may be
-    /// lost in transit (`request_loss` coin), discarded by a browned-out
-    /// server, or admitted through the ordinary (bounded, coalescing)
-    /// queue path. Returns whether the request reached the queue.
-    ///
-    /// This is the no-crash composition of [`FaultLayer::transit_lost`]
-    /// and [`FaultLayer::brownout_discard`]; the `World` splices its
-    /// server-down and admission checks between the two.
-    pub fn deliver(&mut self, queue: &mut RequestQueue, now: f64, page: PageId) -> bool {
-        if self.transit_lost() {
-            return false;
-        }
-        if self.brownout_discard(now) {
-            return false;
-        }
-        queue.submit_at(page, now);
-        true
     }
 
     /// Re-point the channel loss rates mid-run (chaos-phase transitions).
@@ -442,12 +413,12 @@ mod tests {
     #[test]
     fn zero_loss_flips_no_coins_and_loses_nothing() {
         let mut f = layer(FaultConfig::none());
+        let untouched = f.rng_req.clone();
         for _ in 0..100 {
             assert!(!f.page_lost());
+            assert!(!f.transit_lost());
         }
-        let mut q = RequestQueue::new(10);
-        assert!(f.deliver(&mut q, 0.0, PageId(1)));
-        assert_eq!(q.len(), 1);
+        assert_eq!(f.rng_req, untouched, "no transit coin is drawn");
         assert_eq!(*f.counters(), FaultCounters::default());
     }
 
@@ -458,14 +429,11 @@ mod tests {
             request_loss: 1.0,
             ..FaultConfig::none()
         });
-        let mut q = RequestQueue::new(10);
         for _ in 0..50 {
             assert!(f.page_lost());
-            assert!(!f.deliver(&mut q, 0.0, PageId(1)));
+            assert!(f.transit_lost());
         }
-        assert!(q.is_empty());
         assert_eq!(f.counters().pages_lost, 50);
-        assert_eq!(f.counters().requests_lost, 50);
     }
 
     #[test]
@@ -485,17 +453,14 @@ mod tests {
 
     #[test]
     fn brownout_discards_without_randomness() {
-        let mut f = layer(FaultConfig {
+        let f = layer(FaultConfig {
             brownout_period: 100.0,
             brownout_duration: 10.0,
             ..FaultConfig::none()
         });
-        let mut q = RequestQueue::new(10);
-        assert!(!f.deliver(&mut q, 5.0, PageId(1)), "inside the window");
-        assert!(f.deliver(&mut q, 50.0, PageId(2)), "outside the window");
-        assert!(!f.deliver(&mut q, 105.0, PageId(3)), "next cycle's window");
-        assert_eq!(f.counters().requests_browned_out, 2);
-        assert_eq!(q.len(), 1);
+        assert!(f.in_brownout(5.0), "inside the window");
+        assert!(!f.in_brownout(50.0), "outside the window");
+        assert!(f.in_brownout(105.0), "next cycle's window");
     }
 
     #[test]

@@ -52,7 +52,8 @@ use bpp_client::{
 };
 use bpp_obs::{EngineObs, ObsReport};
 use bpp_server::{
-    Admission, BandwidthMux, Discipline, QueueStats, RequestQueue, SaturationDetector, SlotDecision,
+    Admission, BandwidthMux, Discipline, QueueStats, RequestQueue, SaturationDetector,
+    SlotDecision, SubmitOutcome,
 };
 use bpp_sim::{
     stream_rng, BatchMeans, Confidence, Engine, Ewma, Histogram, Model, Rng, Scheduler, Stream,
@@ -174,22 +175,27 @@ impl UpdateProcess {
     }
 }
 
-/// What the sender learns from one backchannel send.
+/// Where one backchannel send ended up.
 ///
-/// The paper's channel is silent: a request is delivered, lost, browned
-/// out or queue-dropped and the client hears nothing either way. The
-/// crash domain adds two *feedback* outcomes — a dead server fails the
-/// connection fast, and the admission layer bounces with a retry-after
-/// hint — which the retry paths fold into their next delay.
+/// The paper's channel is silent: a request is enqueued, coalesced with a
+/// pending duplicate or dropped at a full queue, and the client hears
+/// nothing either way. The fault model adds two more silent ends (lost in
+/// transit, browned out); the crash domain adds two with *feedback* — a
+/// dead server fails the connection fast, and the admission layer bounces
+/// with a retry-after hint — which the retry paths fold into their next
+/// delay.
 #[derive(Debug, Clone, Copy, PartialEq)]
-enum SendOutcome {
-    /// No feedback (the paper's silent channel, whatever happened in
-    /// transit).
-    Silent,
+enum Delivery {
+    /// Lost to the `request_loss` transit coin.
+    Lost,
     /// The server is down; the connection attempt failed fast.
     Refused,
+    /// Discarded inside a brownout window.
+    BrownedOut,
     /// The admission token bucket bounced the request with this hint.
-    RetryAfter(f64),
+    Rejected { retry_after: f64 },
+    /// Reached the request queue, which enqueued, coalesced or dropped it.
+    Queued(SubmitOutcome),
 }
 
 /// Stretch a retry delay after a send with feedback: take the max of the
@@ -198,11 +204,11 @@ enum SendOutcome {
 /// `[1, 1 + jitter)`. Draws from `rng` only when the jitter knob is on
 /// *and* the send got feedback, so crash-disabled runs draw nothing
 /// extra from any stream.
-fn reconnect_delay(base: f64, outcome: SendOutcome, jitter: f64, rng: &mut Xoshiro256pp) -> f64 {
-    let floor = match outcome {
-        SendOutcome::Silent => return base,
-        SendOutcome::Refused => base,
-        SendOutcome::RetryAfter(hint) => base.max(hint),
+fn reconnect_delay(base: f64, delivery: Delivery, jitter: f64, rng: &mut Xoshiro256pp) -> f64 {
+    let floor = match delivery {
+        Delivery::Lost | Delivery::BrownedOut | Delivery::Queued(_) => return base,
+        Delivery::Refused => base,
+        Delivery::Rejected { retry_after } => base.max(retry_after),
     };
     if jitter > 0.0 {
         let u: f64 = rng.random();
@@ -1121,32 +1127,60 @@ impl World {
     /// depends only on the send count, never on server-side state; the
     /// remaining layers draw no randomness at all. With no crash domain
     /// configured this is exactly the pre-crash delivery path.
-    fn submit_request(&mut self, now: Time, page: PageId, shard: usize) -> SendOutcome {
+    ///
+    /// The send's [`Delivery`] is worked out first, then counted in one
+    /// exhaustive `match`, so each send lands in exactly one ledger
+    /// bucket.
+    fn submit_request(&mut self, now: Time, page: PageId, shard: usize) -> Delivery {
         self.audit_sent += 1;
-        if let Some(f) = &mut self.fault {
-            if f.transit_lost() {
-                return SendOutcome::Silent;
+        let delivery = 'route: {
+            if let Some(f) = &mut self.fault {
+                if f.transit_lost() {
+                    break 'route Delivery::Lost;
+                }
             }
-        }
-        if let Some(c) = &mut self.crash {
-            if c.down {
-                c.refused_down += 1;
-                return SendOutcome::Refused;
+            if self.crash.as_ref().is_some_and(|c| c.down) {
+                break 'route Delivery::Refused;
             }
-        }
-        let brownout_clock = now + self.brownout_shifts[shard];
-        if let Some(f) = &mut self.fault {
-            if f.brownout_discard(brownout_clock) {
-                return SendOutcome::Silent;
+            let brownout_clock = now + self.brownout_shifts[shard];
+            if self
+                .fault
+                .as_ref()
+                .is_some_and(|f| f.in_brownout(brownout_clock))
+            {
+                break 'route Delivery::BrownedOut;
             }
-        }
-        if let Some(a) = &mut self.admission {
-            if !a.admit(now) {
-                return SendOutcome::RetryAfter(a.retry_after());
+            if let Some(a) = &mut self.admission {
+                if !a.admit(now) {
+                    break 'route Delivery::Rejected {
+                        retry_after: a.retry_after(),
+                    };
+                }
             }
+            Delivery::Queued(self.shards[shard].queue.submit_at(page, now))
+        };
+        match delivery {
+            Delivery::Lost => {
+                if let Some(f) = &mut self.fault {
+                    f.counters.requests_lost += 1;
+                }
+            }
+            Delivery::Refused => {
+                if let Some(c) = &mut self.crash {
+                    c.refused_down += 1;
+                }
+            }
+            Delivery::BrownedOut => {
+                if let Some(f) = &mut self.fault {
+                    f.counters.requests_browned_out += 1;
+                }
+            }
+            // `Admission::admit` counted the bounce (`AdmissionStats::rejected`).
+            Delivery::Rejected { .. } => {}
+            // `RequestQueue::submit_at` counted it in `QueueStats`.
+            Delivery::Queued(_) => {}
         }
-        self.shards[shard].queue.submit_at(page, now);
-        SendOutcome::Silent
+        delivery
     }
 
     /// Point every shard's PullBW and every channel's threshold at new
@@ -1660,6 +1694,8 @@ impl Model for World {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::FaultConfig;
+    use bpp_server::AdmissionConfig;
 
     fn quick_cfg(algorithm: Algorithm) -> SystemConfig {
         let mut c = SystemConfig::small();
@@ -1853,7 +1889,7 @@ mod tests {
     #[test]
     fn obs_traces_retries_under_faults() {
         let mut cfg = quick_cfg(Algorithm::Ipp);
-        cfg.fault = crate::config::FaultConfig::lossy(0.3);
+        cfg.fault = FaultConfig::lossy(0.3);
         cfg.obs.enabled = true;
         let engine = run(&cfg);
         let w = engine.model();
@@ -2236,7 +2272,7 @@ mod tests {
     #[test]
     fn fleet_clients_retry_lost_requests() {
         let mut cfg = fleet_cfg(64);
-        cfg.fault = crate::config::FaultConfig::lossy(0.4);
+        cfg.fault = FaultConfig::lossy(0.4);
         let proto = MeasurementProtocol::quick();
         let mut engine = World::steady_state(&cfg, &proto).into_engine();
         engine.run_until(3_000.0);
@@ -2244,6 +2280,128 @@ mod tests {
         assert!(
             fs.retries > 0,
             "40% request loss must force fleet resends ({fs:?})"
+        );
+    }
+
+    /// Every bucket a send can land in: the ledger's terminal buckets plus
+    /// the queue's `enqueued` / `coalesced` counters (a queued request also
+    /// moves `in_flight_at_end`).
+    fn buckets(w: &World) -> [(&'static str, u64); 10] {
+        let l = w.conservation_ledger();
+        let q = w.total_queue_stats();
+        [
+            ("lost_in_transit", l.lost_in_transit),
+            ("browned_out", l.browned_out),
+            ("orphaned", l.orphaned),
+            ("admission_rejected", l.admission_rejected),
+            ("dropped_full", l.dropped_full),
+            ("evicted", l.evicted),
+            ("served", l.served),
+            ("in_flight_at_end", l.in_flight_at_end),
+            ("enqueued", q.enqueued),
+            ("coalesced", q.coalesced),
+        ]
+    }
+
+    /// Send `page` at `now` to shard 0; returns the delivery and the
+    /// buckets it moved, each of which must move by exactly one, and the
+    /// ledger must still balance.
+    fn send(w: &mut World, now: f64, page: u32) -> (Delivery, Vec<&'static str>) {
+        let before = buckets(w);
+        let delivery = w.submit_request(now, PageId(page), 0);
+        let moved = before
+            .iter()
+            .zip(buckets(w))
+            .filter(|(b, a)| a.1 != b.1)
+            .map(|(b, a)| {
+                assert_eq!(a.1, b.1 + 1, "{} moved by more than one", b.0);
+                b.0
+            })
+            .collect();
+        let violations = w.conservation_ledger().violations();
+        assert!(violations.is_empty(), "{delivery:?}: {violations:?}");
+        (delivery, moved)
+    }
+
+    #[test]
+    fn each_send_lands_in_exactly_one_ledger_bucket() {
+        let proto = MeasurementProtocol::quick();
+        let world = |fault: FaultConfig| {
+            let mut cfg = quick_cfg(Algorithm::PurePull);
+            cfg.server_queue_size = 1;
+            cfg.fault = fault;
+            World::steady_state(&cfg, &proto)
+        };
+
+        let mut w = world(FaultConfig {
+            request_loss: 1.0,
+            ..FaultConfig::none()
+        });
+        assert_eq!(
+            send(&mut w, 0.0, 1),
+            (Delivery::Lost, vec!["lost_in_transit"])
+        );
+
+        let mut w = world(FaultConfig {
+            crash: CrashConfig {
+                downtime: 10.0,
+                schedule: vec![1e9],
+                ..CrashConfig::none()
+            },
+            ..FaultConfig::none()
+        });
+        w.crash.as_mut().expect("crashes configured").down = true;
+        assert_eq!(send(&mut w, 0.0, 1), (Delivery::Refused, vec!["orphaned"]));
+
+        let mut w = world(FaultConfig {
+            brownout_period: 100.0,
+            brownout_duration: 10.0,
+            ..FaultConfig::none()
+        });
+        assert_eq!(
+            send(&mut w, 5.0, 1),
+            (Delivery::BrownedOut, vec!["browned_out"])
+        );
+
+        let mut w = world(FaultConfig {
+            admission: AdmissionConfig::standard(),
+            ..FaultConfig::none()
+        });
+        w.admission
+            .as_mut()
+            .expect("admission configured")
+            .restart_cold(0.0);
+        assert_eq!(
+            send(&mut w, 0.0, 1),
+            (
+                Delivery::Rejected { retry_after: 32.0 },
+                vec!["admission_rejected"]
+            )
+        );
+
+        // A one-page queue: a first request is enqueued, a duplicate
+        // coalesces onto it, and any other page is dropped.
+        let mut w = world(FaultConfig::none());
+        assert_eq!(
+            send(&mut w, 0.0, 1),
+            (
+                Delivery::Queued(SubmitOutcome::Enqueued),
+                vec!["in_flight_at_end", "enqueued"]
+            )
+        );
+        assert_eq!(
+            send(&mut w, 0.0, 1),
+            (
+                Delivery::Queued(SubmitOutcome::Coalesced),
+                vec!["in_flight_at_end", "coalesced"]
+            )
+        );
+        assert_eq!(
+            send(&mut w, 0.0, 2),
+            (
+                Delivery::Queued(SubmitOutcome::DroppedFull),
+                vec!["dropped_full"]
+            )
         );
     }
 }

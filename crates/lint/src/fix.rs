@@ -2,9 +2,8 @@
 //!
 //! A [`Suggestion`](crate::rules::Suggestion) is machine-applicable when
 //! it carries a byte-column `span`: the exact half-open range on its line
-//! that `text` replaces (D4's approx-eq rewrite, D11's explicit
-//! `(x as _)` conversion). Spanless suggestions are advice for humans and
-//! are never applied. Edits are deduplicated, then applied per file
+//! that `text` replaces (D4's approx-eq rewrite). Spanless suggestions
+//! are advice for humans and are never applied. Edits are deduplicated, then applied per file
 //! bottom-up (lines descending; within a line, right-to-left) so earlier
 //! edits never shift the coordinates of later ones. An edit whose span no
 //! longer matches the file (stale line, column past the end, mid-UTF-8

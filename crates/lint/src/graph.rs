@@ -1,4 +1,4 @@
-//! Cross-file workspace model for the semantic rules (D7, D10–D12).
+//! Cross-file workspace model for the semantic rules (D7, D10).
 //!
 //! A [`Workspace`] owns every analyzed file (token stream + parsed items)
 //! plus the out-of-band context the semantic rules need: the `results/`
@@ -25,24 +25,9 @@
 //! resolve through the type index first, which disambiguates the
 //! otherwise-everywhere names like `new`.
 
-use crate::cfg::{build_cfg, Cfg};
-use crate::expr::{parse_body, ExprArena, ExprId};
 use crate::parse::{parse_file, ParsedFile};
 use crate::rules::SourceFile;
 use std::collections::{BTreeMap, BTreeSet};
-
-/// A function body lowered for dataflow: its expression arena, the root
-/// block node, and the control-flow graph over arena statements. Built
-/// once per fn; the dataflow rules (D11, D12) both interpret the same
-/// lowering.
-pub struct Body {
-    /// Arena holding every expression of the body (plus CFG synthetics).
-    pub arena: ExprArena,
-    /// The root `Block` node.
-    pub root: ExprId,
-    /// The body's control-flow graph.
-    pub cfg: Cfg,
-}
 
 /// One file plus its parsed item structure.
 pub struct Analysis {
@@ -50,33 +35,14 @@ pub struct Analysis {
     pub file: SourceFile,
     /// Its parsed item structure.
     pub items: ParsedFile,
-    /// Lowered bodies, parallel to `items.fns` (`None` for bodyless trait
-    /// method declarations).
-    pub bodies: Vec<Option<Body>>,
 }
 
 impl Analysis {
     /// Lex-independent constructor: parse the items of an already-built
-    /// [`SourceFile`] and lower every fn body for dataflow.
+    /// [`SourceFile`].
     pub fn new(file: SourceFile) -> Analysis {
         let items = parse_file(&file);
-        let bodies = items
-            .fns
-            .iter()
-            .map(|item| {
-                item.body.map(|(lo, hi)| {
-                    let mut arena = ExprArena::default();
-                    let root = parse_body(&file, &mut arena, lo, hi);
-                    let cfg = build_cfg(&mut arena, root);
-                    Body { arena, root, cfg }
-                })
-            })
-            .collect();
-        Analysis {
-            file,
-            items,
-            bodies,
-        }
+        Analysis { file, items }
     }
 }
 

@@ -14,14 +14,11 @@
 //!
 //! The binary lexes every `.rs` file in the workspace with a real Rust
 //! lexer ([`lexer`]), recovers the item structure with a lightweight
-//! parser ([`parse`]), and evaluates the rule set ([`rules`], D0–D12)
+//! parser ([`parse`]), and evaluates the rule set ([`rules`], D0–D10)
 //! in two phases: single-file token rules, then cross-file semantic
 //! rules over a [`graph::Workspace`] — stream-flow and dead-artifact
-//! analysis, plus the expression-level dataflow rules
-//! (unit inference over per-function CFGs ([`expr`], [`cfg`](mod@cfg),
-//! [`dataflow`]), ledger-bucket coverage). Suppressions
-//! (`// bpp-lint: allow(<rule>)` comments and a root-level
-//! `lint_allow.txt`) apply to both phases. Diagnostics are ordered
+//! analysis. Suppressions (`// bpp-lint: allow(<rule>)` comments and a
+//! root-level `lint_allow.txt`) apply to both phases. Diagnostics are ordered
 //! deterministically (file path, then line, then rule), and `--json`
 //! emits a machine-readable schema-v3 report via `bpp-json` that is
 //! byte-for-byte reproducible — the `results/lint_fixture.json` golden
@@ -44,9 +41,6 @@
 
 #![expect(clippy::disallowed_types, reason = "--timing times the lint itself")]
 
-pub mod cfg;
-pub mod dataflow;
-pub mod expr;
 pub mod fix;
 pub mod graph;
 pub mod lexer;
@@ -338,7 +332,7 @@ fn collect_reference_texts(root: &Path) -> Vec<String> {
 /// Lint every `.rs` file under `root`, labelling the report with
 /// `root_label` (kept verbatim so output does not depend on the machine's
 /// absolute paths). Runs both phases: single-file token rules, then the
-/// cross-file semantic rules (D7, D10–D12) over the whole tree.
+/// cross-file semantic rules (D7, D10) over the whole tree.
 pub fn lint_root(root: &Path, root_label: &str) -> io::Result<Report> {
     lint_root_opts(root, root_label, false)
 }
@@ -454,11 +448,9 @@ pub fn lint_root_opts(root: &Path, root_label: &str, timing: bool) -> io::Result
     );
     record(&mut timing, "graph", t0);
     type SemanticRule = fn(&Workspace, &mut Vec<Diagnostic>);
-    let semantic: [(&str, SemanticRule); 4] = [
+    let semantic: [(&str, SemanticRule); 2] = [
         ("D7", rules::stream_flow::d7_stream_flow),
         ("D10", rules::dead_artifacts::d10_dead_artifacts),
-        ("D11", rules::unit_infer::d11_unit_inference),
-        ("D12", rules::ledger::d12_ledger_coverage),
     ];
     for (id, rule) in semantic {
         let t0 = Instant::now();

@@ -1,7 +1,7 @@
 //! AST-lite item parser for `bpp-lint`'s semantic rules.
 //!
 //! The token rules (D4) match flat patterns; the cross-file rules
-//! (D7, D10–D12) need to know *where items live*: which functions exist, what
+//! (D7, D10) need to know *where items live*: which functions exist, what
 //! their parameters are typed as, which structs declare which fields, and
 //! which impl blocks cover which types. This module recovers exactly that
 //! much structure from the code-token stream of a [`SourceFile`] — no

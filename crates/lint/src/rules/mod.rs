@@ -1,11 +1,10 @@
-//! The `bpp-lint` rule engine: scopes, suppressions, and rules D0–D12.
+//! The `bpp-lint` rule engine: scopes, suppressions, and rules D0–D10.
 //!
-//! Rules come in two layers. The **token rules** (D4, [`tokens`]; D9,
-//! [`units`]) run over the token stream of one file at a time (see
-//! [`crate::lexer`]) and need no cross-file state. The **semantic rules**
-//! (D7 [`stream_flow`], D10 [`dead_artifacts`], and the dataflow rules
-//! D11 and D12) run over a [`crate::graph::Workspace`] built from the
-//! item structure ([`crate::parse`]) of every file, so they can
+//! Rules come in two layers. The **token rule** (D4, [`tokens`]) runs
+//! over the token stream of one file at a time (see [`crate::lexer`]) and
+//! needs no cross-file state. The **semantic rules** (D7 [`stream_flow`],
+//! D10 [`dead_artifacts`]) run over a [`crate::graph::Workspace`] built
+//! from the item structure ([`crate::parse`]) of every file, so they can
 //! follow an RNG handle across a function boundary or notice a results
 //! artifact nothing references. Either way the report order is a pure
 //! function of the sorted file list — no hashing, no filesystem order.
@@ -23,7 +22,10 @@
 //! checker carries RNG stream discipline (formerly D1: `stream_rng` takes
 //! a `bpp_sim::Stream`, and `clippy.toml` bans the raw-id mixer) and
 //! cold-restart coverage (formerly D13: each reset method destructures
-//! `Self` exhaustively).
+//! `Self` exhaustively). Request conservation (formerly D12: one ledger
+//! bucket per request-terminating path) is carried by the simulator's
+//! exhaustive `match` on each send's `Delivery` and audited at runtime by
+//! its `ConservationLedger`.
 //!
 //! ## Suppression grammar
 //!
@@ -32,7 +34,7 @@
 //!
 //! ```text
 //! // bpp-lint: allow(D4): holds because <one-line justification>
-//! // bpp-lint: allow(D4, D11)
+//! // bpp-lint: allow(D4, D7)
 //! // bpp-lint: allow-file(D4): whole-file justification
 //! ```
 //!
@@ -47,11 +49,8 @@
 //! suppressed.
 
 pub mod dead_artifacts;
-pub mod ledger;
 pub mod stream_flow;
 pub mod tokens;
-pub mod unit_infer;
-pub mod units;
 
 use crate::lexer::{Token, TokenKind};
 
@@ -78,29 +77,21 @@ pub struct Diagnostic {
     pub file: String,
     /// 1-based source line.
     pub line: u32,
-    /// Rule id (`"D4"` … `"D12"`, or `"D0"` for lint-integrity findings).
+    /// Rule id (`"D4"` … `"D10"`, or `"D0"` for lint-integrity findings).
     pub rule: &'static str,
     /// What went wrong and how to fix it.
     pub message: String,
-    /// An unambiguous rewrite, when one exists (D4, D11).
+    /// An unambiguous rewrite, when one exists (D4).
     pub suggestion: Option<Suggestion>,
 }
 
 /// The rule registry: id and one-line summary, in report order.
-pub const RULES: [(&str, &str); 7] = [
+pub const RULES: [(&str, &str); 4] = [
     ("D0", "lint integrity: lexer failures and malformed/unknown/stale suppressions"),
     ("D4", "float-eq: no ==/!= against float literals; route through bpp_sim::approx"),
     ("D7", "stream-flow: one RNG stream, one component — no shared handles, no duplicate construction sites"),
-    ("D9", "alias of D11 — the token-level unit check D11's dataflow analysis supersedes"),
     ("D10", "dead artifacts: unreachable experiment grids and unreferenced results/ goldens"),
-    ("D11", "unit inference: *_bu/*_count/*_ratio classes propagated through bindings, params, and returns"),
-    ("D12", "ledger coverage: every request-terminating path must increment exactly one ConservationLedger bucket"),
 ];
-
-/// Suppression aliases: `allow(<old>)` also silences diagnostics of the
-/// rule that superseded it, so existing annotations keep working across a
-/// rule upgrade.
-pub const RULE_ALIASES: [(&str, &str); 1] = [("D9", "D11")];
 
 /// Where a file sits in the workspace, derived from its relative path.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -358,17 +349,12 @@ impl Suppressions {
     }
 
     /// Whether a diagnostic of `rule` at `line` is suppressed; every
-    /// directive that covers it is marked as fired. A suppression naming
-    /// an aliased rule ([`RULE_ALIASES`]) covers its successor too.
+    /// directive that covers it is marked as fired.
     pub fn covers(&mut self, rule: &str, line: u32) -> bool {
         let mut covered = false;
         for d in &mut self.directives {
-            let names = d.rule == rule
-                || RULE_ALIASES
-                    .iter()
-                    .any(|&(old, new)| new == rule && old == d.rule);
             let reaches = d.origin != Origin::Line || d.line == line || d.line + 1 == line;
-            if names && reaches {
+            if d.rule == rule && reaches {
                 d.fired = true;
                 covered = true;
             }
@@ -427,15 +413,12 @@ pub fn known_rule(name: &str) -> bool {
 pub type TokenRule = fn(&SourceFile, &mut Vec<Diagnostic>);
 
 /// The single-file token rules, as a (rule id, pass) table so the driver
-/// can attribute per-rule timing. D9 is absent by design: its
-/// token-level check is superseded by D11's dataflow analysis
-/// ([`units::d9_unit_discipline`] stays available as a differential
-/// oracle).
+/// can attribute per-rule timing.
 pub const TOKEN_RULES: [(&str, TokenRule); 1] = [("D4", tokens::d4_float_eq)];
 
 /// Run every single-file rule over one file; returns raw
 /// (unsuppressed-unfiltered) diagnostics. The caller applies
-/// [`Suppressions`] and sorting. Cross-file rules (D7, D10–D12) run
+/// [`Suppressions`] and sorting. Cross-file rules (D7, D10) run
 /// separately over the whole workspace — see [`crate::graph`].
 pub fn check_file(f: &SourceFile) -> Vec<Diagnostic> {
     let mut out = Vec::new();

@@ -2,7 +2,7 @@
 //! `results/lint_fixture.json` byte for byte, and the report is stable
 //! across consecutive runs.
 
-use bpp_lint::rules::{RULES, RULE_ALIASES};
+use bpp_lint::rules::RULES;
 use bpp_lint::{lint_root, workspace_root};
 
 #[test]
@@ -35,11 +35,6 @@ fn fixture_tree_exercises_every_rule() {
         .join("fixtures");
     let report = lint_root(&fixtures, "crates/lint/fixtures").expect("fixture tree must lint");
     for (id, _) in RULES {
-        // D9 is an alias: its token-level check is superseded by D11's
-        // dataflow analysis and no longer emits under its own id.
-        if RULE_ALIASES.iter().any(|(old, _)| *old == id) {
-            continue;
-        }
         assert!(
             report.diagnostics.iter().any(|d| d.rule == id),
             "no fixture diagnostic exercises rule {id}"

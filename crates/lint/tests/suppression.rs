@@ -47,9 +47,10 @@ fn directive_on_last_line_of_file_covers_its_own_line() {
 fn one_allow_lists_several_rules() {
     let report = lint_scratch(
         "multi",
-        "pub fn f(wait_bu: f64, hits_count: f64, x: f64) -> bool {\n    \
-         // bpp-lint: allow(D11, D4): fixture covering two rules at once\n    \
-         wait_bu + hits_count > 0.0 && x == 1.0\n\
+        "pub fn a(seed: u64) -> R { stream_rng(seed, Stream::Mc) }\n\
+         pub fn b(seed: u64, x: f64) -> (R, bool) {\n    \
+         // bpp-lint: allow(D7, D4): fixture covering two rules at once\n    \
+         (stream_rng(seed, Stream::Mc), x == 1.0)\n\
          }\n",
         None,
     );
@@ -60,7 +61,7 @@ fn one_allow_lists_several_rules() {
     );
     assert_eq!(
         report.suppressed, 2,
-        "one mixed-unit + (D11) plus one float == (D4)"
+        "one duplicate stream construction (D7) plus one float == (D4)"
     );
 }
 
@@ -74,7 +75,7 @@ fn multi_rule_list_still_rejects_unknown_names() {
     // The known names around it still engage.
     assert!(sup.covers("D7", 1));
     assert!(sup.covers("D4", 2));
-    assert!(!sup.covers("D11", 1));
+    assert!(!sup.covers("D10", 1));
 }
 
 #[test]
@@ -119,21 +120,16 @@ fn stale_allowlist_entry_is_a_d0_diagnostic() {
 
 #[test]
 fn directive_that_suppresses_nothing_is_a_d0_diagnostic() {
-    // A scratch tree with one directive of each kind that fires (a line
-    // directive, and an alias: D9 names D11's findings) and one of each
-    // kind that does not (line, file-wide, allowlist).
+    // A scratch tree with a line directive that fires and one directive
+    // of each kind that does not (line, file-wide, allowlist).
     let report = lint_scratch(
         "stale",
-        "// bpp-lint: allow-file(D12): stale\n\
+        "// bpp-lint: allow-file(D10): stale\n\
          pub fn f(x: f64) -> bool {\n    \
          // bpp-lint: allow(D4): fires\n    \
          x == 1.0\n\
          }\n\
-         // bpp-lint: allow(D4): stale\n\
-         pub fn mixed(wait_bu: f64, hits_count: f64) -> f64 {\n    \
-         // bpp-lint: allow(D9): fires through the alias\n    \
-         wait_bu + hits_count\n\
-         }\n",
+         // bpp-lint: allow(D4): stale\n",
         Some("D7 crates/core/src/a.rs # stale\n"),
     );
 
@@ -152,10 +148,10 @@ fn directive_that_suppresses_nothing_is_a_d0_diagnostic() {
         "exactly the three stale directives: {:?}",
         report.diagnostics
     );
-    assert!(report.diagnostics[0].message.contains("`allow-file(D12)`"));
+    assert!(report.diagnostics[0].message.contains("`allow-file(D10)`"));
     assert!(report.diagnostics[1].message.contains("`allow(D4)`"));
     assert!(report.diagnostics[2]
         .message
         .contains("`D7 crates/core/src/a.rs`"));
-    assert_eq!(report.suppressed, 2, "the D4 and the aliased D11");
+    assert_eq!(report.suppressed, 1, "the D4");
 }

@@ -6,8 +6,7 @@
 //! hurts expected wait), disk frequencies tracking access probabilities by
 //! the square-root rule, and the push/pull split matching the configured
 //! `PullBW`. The simulator exercises these only indirectly; this crate is
-//! their *static* complement — exactly as bpp-lint's D12 is the static
-//! complement of the chaos `ConservationLedger`.
+//! their *static* complement.
 //!
 //! A [`Target`] bundles everything one verification subject needs: the
 //! [`BroadcastProgram`], the assignment shape it was generated from, the

@@ -24,6 +24,11 @@ cargo test -q --frozen -p bpp-core --test faults
 # Likewise the timer wheel's differential test against the reference heap
 # scheduler, on which the wheel's correctness rests.
 cargo test -q --frozen -p bpp-sim --test differential
+# And the two suites that audit request conservation at runtime (the
+# config fuzz and the chaos harness check the ConservationLedger on every
+# run); no static rule backs them, so a filtered run must not skip them.
+cargo test -q --frozen -p bpp-core --test config_fuzz
+cargo test -q --frozen -p bpp-core --test chaos
 # Clippy carries the determinism and panic-hygiene rules (the lint table
 # in Cargo.toml, banned types and methods in clippy.toml).
 cargo clippy --all-targets --frozen -- -D warnings
