@@ -1,6 +1,6 @@
 //! Microbenchmarks for the event-engine hot paths: dispatch throughput
-//! (with and without the observability probe), scheduler churn, and the
-//! tombstone drain inside `run_until` / `peek_live`.
+//! (with and without the observability probe) and a fleet world driving
+//! the timer wheel.
 
 #![allow(missing_docs, reason = "bench harness binaries have no public API")]
 
@@ -30,14 +30,6 @@ impl Model for Pump {
     }
 }
 
-/// Inert model for pure scheduler-churn measurements.
-struct Sink;
-
-impl Model for Sink {
-    type Event = Tick;
-    fn handle(&mut self, _now: Time, _ev: Tick, _sched: &mut Scheduler<Tick>) {}
-}
-
 fn dispatch_chain(n: u64, obs: bool) -> u64 {
     let mut engine = Engine::new(Pump { remaining: n });
     if obs {
@@ -55,20 +47,6 @@ fn main() {
     g.bench("dispatch_chain_10k", || dispatch_chain(10_000, false));
     g.bench("dispatch_chain_10k_obs", || dispatch_chain(10_000, true));
 
-    // Schedule 1024 events, cancel every other one, then run_until past all
-    // of them: each tombstoned head is drained by `peek_live`.
-    g.bench("run_until_half_tombstoned_1k", || {
-        let mut engine = Engine::new(Sink);
-        let ids: Vec<_> = (0..1024)
-            .map(|i| engine.scheduler().schedule_at(i as Time, Tick))
-            .collect();
-        for id in ids.iter().step_by(2) {
-            engine.scheduler().cancel(*id);
-        }
-        engine.run_until(black_box(2048.0));
-        engine.dispatched()
-    });
-
     // Fleet events/sec: a 10k-client arena fleet driving the full world
     // for 500 broadcast units — wake/deliver/retry traffic through the
     // timer wheel, not just the bare engine.
@@ -85,19 +63,6 @@ fn main() {
         let mut engine = World::steady_state(&cfg, &proto).into_engine();
         engine.run_until(black_box(500.0));
         engine.dispatched()
-    });
-
-    // Pure scheduler churn: schedule/cancel with no dispatch at all.
-    g.bench("schedule_cancel_1k", || {
-        let mut engine = Engine::new(Sink);
-        let ids: Vec<_> = (0..1024)
-            .map(|i| engine.scheduler().schedule_at(i as Time, Tick))
-            .collect();
-        let mut cancelled = 0u32;
-        for id in ids {
-            cancelled += u32::from(engine.scheduler().cancel(id));
-        }
-        cancelled
     });
 
     g.finish();

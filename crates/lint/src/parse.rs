@@ -2,8 +2,8 @@
 //!
 //! The token rules (D4) match flat patterns; the cross-file rules
 //! (D7, D10) need to know *where items live*: which functions exist, what
-//! their parameters are typed as, which structs declare which fields, and
-//! which impl blocks cover which types. This module recovers exactly that
+//! their parameters are typed as, which structs exist, and which impl
+//! blocks cover which types. This module recovers exactly that
 //! much structure from the code-token stream of a [`SourceFile`] — no
 //! expressions, no types beyond token slices, no name resolution. Every
 //! item records its 1-based start line and, where useful, a half-open
@@ -48,24 +48,13 @@ pub struct FnItem {
     pub body: Option<(usize, usize)>,
 }
 
-/// One named struct field.
-#[derive(Debug, Clone)]
-pub struct Field {
-    /// The field's name.
-    pub name: String,
-    /// 1-based line of the field's name token.
-    pub line: u32,
-}
-
-/// One `struct` item; tuple and unit structs record no fields.
+/// One `struct` item.
 #[derive(Debug, Clone)]
 pub struct StructItem {
     /// The struct's name.
     pub name: String,
     /// 1-based line of the `struct` keyword.
     pub line: u32,
-    /// Named fields in declaration order (empty for tuple/unit structs).
-    pub fields: Vec<Field>,
 }
 
 /// One `const` item: `const NAME: Ty = <expr>;` at any nesting depth.
@@ -83,9 +72,6 @@ pub struct ConstItem {
 /// One `impl` block: `impl [Trait for] Type { … }`.
 #[derive(Debug, Clone)]
 pub struct ImplBlock {
-    /// The trait's last path ident (`ToJson` for `impl bpp_json::ToJson
-    /// for X`), or `None` for an inherent impl.
-    pub trait_name: Option<String>,
     /// The implemented type's last path ident.
     pub type_name: String,
     /// 1-based line of the `impl` keyword.
@@ -342,48 +328,9 @@ fn parse_struct(f: &SourceFile, k: usize) -> Option<(StructItem, usize)> {
         }
     }
     match f.text(j) {
-        // Tuple struct `struct X(…);` or unit `struct X;` — no fields.
-        "(" | ";" => Some((
-            StructItem {
-                name,
-                line,
-                fields: Vec::new(),
-            },
-            j + 1,
-        )),
-        "{" => {
-            let end = matching(f, j);
-            let mut fields = Vec::new();
-            let mut m = j + 1;
-            let mut depth = 0i32;
-            while m < end {
-                match f.text(m) {
-                    "(" | "[" | "{" => depth += 1,
-                    ")" | "]" | "}" => depth -= 1,
-                    "<" => {
-                        m = skip_generics(f, m);
-                        continue;
-                    }
-                    "#" if f.text(m + 1) == "[" => {
-                        m = matching(f, m + 1) + 1;
-                        continue;
-                    }
-                    ":" if depth == 0
-                        && m > j + 1
-                        && f.kind(m - 1) == Some(TokenKind::Ident)
-                        && matches!(f.text(m.wrapping_sub(2)), "{" | "," | "pub" | ")") =>
-                    {
-                        fields.push(Field {
-                            name: f.text(m - 1).to_string(),
-                            line: f.line(m - 1),
-                        });
-                    }
-                    _ => {}
-                }
-                m += 1;
-            }
-            Some((StructItem { name, line, fields }, end + 1))
-        }
+        // Tuple struct `struct X(…);` or unit `struct X;`.
+        "(" | ";" => Some((StructItem { name, line }, j + 1)),
+        "{" => Some((StructItem { name, line }, matching(f, j) + 1)),
         _ => None,
     }
 }
@@ -438,14 +385,11 @@ fn parse_impl(f: &SourceFile, k: usize) -> Option<ImplBlock> {
     if f.text(j) == "<" {
         j = skip_generics(f, j);
     }
-    let mut trait_name: Option<String> = None;
     let mut last_ident = String::new();
     while j < f.code.len() && f.text(j) != "{" {
         match f.text(j) {
-            "for" => {
-                trait_name = (!last_ident.is_empty()).then(|| last_ident.clone());
-                last_ident.clear();
-            }
+            // `impl Trait for Type`: the type's ident comes after `for`.
+            "for" => last_ident.clear(),
             "<" => {
                 j = skip_generics(f, j);
                 continue;
@@ -464,7 +408,6 @@ fn parse_impl(f: &SourceFile, k: usize) -> Option<ImplBlock> {
     }
     let end = matching(f, j);
     Some(ImplBlock {
-        trait_name,
         type_name: last_ident,
         line,
         body: (j + 1, end),
@@ -520,40 +463,9 @@ mod tests {
         assert_eq!(p.fns[0].params[0].name.as_deref(), Some("self"));
         assert!(p.fns[1].body.is_some());
         assert_eq!(p.impls.len(), 1);
-        assert_eq!(p.impls[0].trait_name.as_deref(), Some("T"));
         assert_eq!(p.impls[0].type_name, "S");
         assert_eq!(p.owner_of(1), Some("S"), "impl fn attributed to its type");
         assert_eq!(p.owner_of(0), None, "trait decl is not inside the impl");
-    }
-
-    #[test]
-    fn struct_fields_skip_attrs_and_generic_noise() {
-        let p = parsed(
-            "pub struct C<T: Clone> {\n\
-             \x20   #[allow(dead_code)]\n\
-             \x20   pub a: Vec<(u32, u32)>,\n\
-             \x20   b: Option<T>,\n\
-             }",
-        );
-        assert_eq!(p.structs.len(), 1);
-        let names: Vec<&str> = p.structs[0]
-            .fields
-            .iter()
-            .map(|f| f.name.as_str())
-            .collect();
-        assert_eq!(
-            names,
-            ["a", "b"],
-            "nested type colons must not look like fields"
-        );
-    }
-
-    #[test]
-    fn tuple_and_unit_structs_have_no_fields() {
-        let p = parsed("struct T(u32, f64);\nstruct U;");
-        assert_eq!(p.structs.len(), 2);
-        assert!(p.structs[0].fields.is_empty());
-        assert!(p.structs[1].fields.is_empty());
     }
 
     #[test]
@@ -575,8 +487,8 @@ mod tests {
     fn inherent_impl_has_no_trait() {
         let p = parsed("impl Widget { fn new() -> Widget { Widget } }");
         assert_eq!(p.impls.len(), 1);
-        assert_eq!(p.impls[0].trait_name, None);
         assert_eq!(p.impls[0].type_name, "Widget");
+        assert_eq!(p.owner_of(0), Some("Widget"));
     }
 
     #[test]

@@ -13,13 +13,12 @@
 //!   ordering.
 //! * The queue is a hashed hierarchical timer wheel (11 levels × 64 slots,
 //!   6 bits per level — 66 bits, so every `u64` tick is addressable and the
-//!   top levels double as the overflow range). `schedule` and `cancel` are
-//!   O(1): an event's integer tick (`time as u64`) picks its bucket directly,
-//!   and a slab of handles records each pending event's bucket and position,
-//!   so `cancel` deletes the entry in place — no tombstones, no lazy pops,
-//!   and `pending()` is exactly the live count. An [`EventId`] names a slab
-//!   slot plus the event's seq; slots are reused, seqs never are, so a stale
-//!   id cannot cancel the slot's next occupant.
+//!   top levels double as the overflow range). `schedule` is O(1): an
+//!   event's integer tick (`time as u64`) picks its bucket directly, and a
+//!   bucket entry is the bare `(time, seq, event)`. A scheduled event always
+//!   fires: a model that outgrows a timer tags it (a generation counter in
+//!   the event) and ignores it when it fires, so `pending()` counts every
+//!   scheduled, not yet dispatched event.
 //! * Determinism: buckets are ordered by actual `(time, seq)` when they
 //!   become the dispatch head, so the wheel reproduces the exact total order
 //!   a priority queue would produce. Equal times share a tick and therefore
@@ -31,19 +30,6 @@ use std::cmp::Ordering;
 
 /// Simulated time in broadcast units (the time to broadcast one page).
 pub type Time = f64;
-
-/// Handle for a scheduled event, usable with [`Scheduler::cancel`].
-///
-/// `slot` indexes the scheduler's handle slab and `seq` is the event's
-/// schedule sequence number. A slot is reused once its event fires or is
-/// cancelled, but seqs are unique for the scheduler's lifetime, so the
-/// seq doubles as the slot's generation tag: an id whose seq no longer
-/// matches its slot is stale.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct EventId {
-    slot: u32,
-    seq: u64,
-}
 
 /// A simulation model: owns the domain state and interprets events.
 ///
@@ -68,18 +54,7 @@ pub trait Model: Sized {
 struct Scheduled<E> {
     time: Time,
     seq: u64,
-    /// The event's slab slot, so moves within a bucket can update its `pos`.
-    slot: u32,
     event: E,
-}
-
-/// Where a pending event sits: `buckets[bucket][pos]`. `seq` identifies the
-/// occupant, so an [`EventId`] from an earlier occupant fails to match.
-#[derive(Clone, Copy)]
-struct Handle {
-    seq: u64,
-    bucket: u16,
-    pos: u32,
 }
 
 /// Bits per wheel level; each level indexes 64 slots.
@@ -93,9 +68,6 @@ const SLOT_MASK: u64 = (SLOTS as u64) - 1;
 const LEVELS: usize = 11;
 /// Total buckets across all levels (flat index = level · 64 + slot).
 const BUCKETS: usize = LEVELS * SLOTS;
-/// `Handle::bucket` of a free slab slot; never a real bucket index.
-const FREE: u16 = u16::MAX;
-const _: () = assert!(BUCKETS < FREE as usize);
 
 /// The pending-event queue: a hashed hierarchical timer wheel. Handed to
 /// [`Model::handle`] so models can plant future events while reacting to the
@@ -122,28 +94,20 @@ const _: () = assert!(BUCKETS < FREE as usize);
 /// once and popped from the back; inserts landing in it keep it sorted via
 /// binary search, so the amortised cost stays O(1) per event for the
 /// simulator's workloads.
-///
-/// Every pending event owns one slot of `slab`, which holds its bucket and
-/// its position in that bucket; every move of an entry within or between
-/// buckets rewrites that position, so `cancel` finds its entry with two
-/// array reads. Fired and cancelled slots go on the `free` list and are
-/// reused, so the slab's length is the peak pending count.
 pub struct Scheduler<E> {
     buckets: Vec<Vec<Scheduled<E>>>,
     /// Per-level occupancy bitmask: bit `s` set ⟺ bucket (level, s) is
     /// non-empty. Kept exact on every insert and delete.
     occ: [u64; LEVELS],
-    /// Handle per slot; a free slot has `bucket == FREE`.
-    slab: Vec<Handle>,
-    /// Free slots of `slab`, reused last-in first-out.
-    free: Vec<u32>,
     /// Flat index of the bucket currently being drained (sorted descending
     /// by `(time, seq)`), if any. Always a level-0 bucket, always non-empty.
-    cur_bucket: Option<u16>,
+    cur_bucket: Option<usize>,
     /// Wheel cursor: the tick of the bucket at the dispatch head. Only ever
     /// advances (events are never scheduled before `now`).
     wheel_pos: u64,
     next_seq: u64,
+    /// Events scheduled and not yet dispatched.
+    pending: usize,
     now: Time,
 }
 
@@ -152,11 +116,10 @@ impl<E> Scheduler<E> {
         Scheduler {
             buckets: (0..BUCKETS).map(|_| Vec::new()).collect(),
             occ: [0; LEVELS],
-            slab: Vec::new(),
-            free: Vec::new(),
             cur_bucket: None,
             wheel_pos: 0,
             next_seq: 0,
+            pending: 0,
             now: 0.0,
         }
     }
@@ -167,7 +130,7 @@ impl<E> Scheduler<E> {
     }
 
     /// Schedule `event` at absolute time `at` (must be `>= now` and finite).
-    pub fn schedule_at(&mut self, at: Time, event: E) -> EventId {
+    pub fn schedule_at(&mut self, at: Time, event: E) {
         assert!(at.is_finite(), "event time must be finite, got {at}");
         assert!(
             at >= self.now,
@@ -176,108 +139,40 @@ impl<E> Scheduler<E> {
         );
         let seq = self.next_seq;
         self.next_seq += 1;
-        let handle = Handle {
-            seq,
-            bucket: FREE,
-            pos: 0,
-        };
-        let slot = match self.free.pop() {
-            Some(slot) => {
-                self.slab[slot as usize] = handle;
-                slot
-            }
-            None => {
-                // Slots are bounded by the pending count, far below 2³².
-                self.slab.push(handle);
-                (self.slab.len() - 1) as u32
-            }
-        };
+        self.pending += 1;
         self.place(Scheduled {
             time: at,
             seq,
-            slot,
             event,
         });
-        EventId { slot, seq }
     }
 
     /// Schedule `event` after a non-negative `delay` from now.
-    pub fn schedule_in(&mut self, delay: Time, event: E) -> EventId {
+    pub fn schedule_in(&mut self, delay: Time, event: E) {
         assert!(
             delay >= 0.0,
             "delay must be non-negative, got {delay} at t={}",
             self.now
         );
-        self.schedule_at(self.now + delay, event)
+        self.schedule_at(self.now + delay, event);
     }
 
-    /// Cancel a pending event, deleting it from its bucket immediately.
-    /// Returns `true` if the event had not yet fired (or been cancelled);
-    /// cancelling an already-fired event is a no-op.
-    pub fn cancel(&mut self, id: EventId) -> bool {
-        let Some(&h) = self.slab.get(id.slot as usize) else {
-            return false;
-        };
-        if h.bucket == FREE || h.seq != id.seq {
-            return false;
-        }
-        let (b, pos) = (h.bucket as usize, h.pos as usize);
-        debug_assert_eq!(
-            self.buckets[b][pos].seq, id.seq,
-            "slab names a stale position"
-        );
-        if self.cur_bucket == Some(h.bucket) {
-            // The head bucket is sorted; an order-preserving remove keeps it
-            // valid for back-popping.
-            self.buckets[b].remove(pos);
-            self.renumber(b, pos);
-        } else {
-            self.buckets[b].swap_remove(pos);
-            if let Some(moved) = self.buckets[b].get(pos) {
-                self.slab[moved.slot as usize].pos = pos as u32;
-            }
-        }
-        self.release(id.slot);
-        if self.buckets[b].is_empty() {
-            self.occ[b / SLOTS] &= !(1 << (b % SLOTS));
-            if self.cur_bucket == Some(h.bucket) {
-                self.cur_bucket = None;
-            }
-        }
-        true
-    }
-
-    /// Number of pending (live) events. Cancelled events are deleted
-    /// outright, so this is exactly the count of events that can still fire.
+    /// Number of pending events: scheduled and not yet dispatched.
     pub fn pending(&self) -> usize {
-        self.slab.len() - self.free.len()
+        self.pending
     }
 
-    /// Time of the next live event, or `None` when nothing remains. May
-    /// advance the wheel cursor (never simulated time) to locate the head
-    /// bucket.
+    /// Time of the next event, or `None` when nothing remains. May advance
+    /// the wheel cursor (never simulated time) to locate the head bucket.
     pub fn peek_live(&mut self) -> Option<Time> {
         if !self.ensure_current() {
             return None;
         }
-        let b = self.cur_bucket? as usize;
+        let b = self.cur_bucket?;
         self.buckets[b].last().map(|s| s.time)
     }
 
-    /// Return `slot` to the free list.
-    fn release(&mut self, slot: u32) {
-        self.slab[slot as usize].bucket = FREE;
-        self.free.push(slot);
-    }
-
-    /// Rewrite the slab position of every entry of bucket `b` from `from` on.
-    fn renumber(&mut self, b: usize, from: usize) {
-        for (pos, s) in self.buckets[b].iter().enumerate().skip(from) {
-            self.slab[s.slot as usize].pos = pos as u32;
-        }
-    }
-
-    /// Route an entry to its bucket and record its position in the slab.
+    /// Route an entry to its bucket.
     fn place(&mut self, s: Scheduled<E>) {
         let tick = s.time as u64;
         let b = if tick <= self.wheel_pos {
@@ -290,11 +185,10 @@ impl<E> Scheduler<E> {
             let level = high / BITS;
             level * SLOTS + ((tick >> (level * BITS)) & SLOT_MASK) as usize
         };
-        self.slab[s.slot as usize].bucket = b as u16;
         if self.buckets[b].is_empty() {
             self.occ[b / SLOTS] |= 1 << (b % SLOTS);
         }
-        if self.cur_bucket == Some(b as u16) {
+        if self.cur_bucket == Some(b) {
             // Keep the head bucket sorted (descending by (time, seq)) so
             // back-pops stay correct without re-sorting.
             let idx = self.buckets[b].partition_point(|e| {
@@ -302,9 +196,7 @@ impl<E> Scheduler<E> {
                     || (e.time.total_cmp(&s.time) == Ordering::Equal && e.seq > s.seq)
             });
             self.buckets[b].insert(idx, s);
-            self.renumber(b, idx);
         } else {
-            self.slab[s.slot as usize].pos = self.buckets[b].len() as u32;
             self.buckets[b].push(s);
         }
     }
@@ -327,8 +219,7 @@ impl<E> Scheduler<E> {
                 self.buckets[b].sort_unstable_by(|a, z| {
                     z.time.total_cmp(&a.time).then_with(|| z.seq.cmp(&a.seq))
                 });
-                self.renumber(b, 0);
-                self.cur_bucket = Some(b as u16);
+                self.cur_bucket = Some(b);
                 return true;
             }
             // Cascade: the lowest occupied level's first occupied slot holds
@@ -358,9 +249,9 @@ impl<E> Scheduler<E> {
         if !self.ensure_current() {
             return None;
         }
-        let b = self.cur_bucket? as usize;
+        let b = self.cur_bucket?;
         let s = self.buckets[b].pop()?;
-        self.release(s.slot);
+        self.pending -= 1;
         if self.buckets[b].is_empty() {
             self.occ[b / SLOTS] &= !(1 << (b % SLOTS));
             self.cur_bucket = None;
@@ -451,9 +342,9 @@ impl<M: Model> Engine<M> {
     /// Run until simulated time strictly exceeds `t` or the queue drains.
     /// Events scheduled exactly at `t` are still dispatched.
     ///
-    /// The deadline is compared against the next *live* event
-    /// ([`Scheduler::peek_live`]); cancellation deletes outright, so the
-    /// head time is always the time `step()` would dispatch next.
+    /// The deadline is compared against the head time
+    /// ([`Scheduler::peek_live`]), which is always the time `step()` would
+    /// dispatch next.
     pub fn run_until(&mut self, t: Time) {
         while self.sched.peek_live().is_some_and(|next| next <= t) {
             if !self.step() {
@@ -474,12 +365,12 @@ mod tests {
 
     struct Recorder {
         log: Vec<(Time, u32)>,
-        cancel_target: Option<EventId>,
     }
 
     enum Ev {
         Tag(u32),
-        CancelPlanted,
+        /// Plants `Tag(tag)` one time unit later.
+        Plant(u32),
     }
 
     impl Model for Recorder {
@@ -487,25 +378,19 @@ mod tests {
         fn handle(&mut self, now: Time, ev: Ev, sched: &mut Scheduler<Ev>) {
             match ev {
                 Ev::Tag(t) => self.log.push((now, t)),
-                Ev::CancelPlanted => {
-                    let id = self.cancel_target.take().expect("target set");
-                    assert!(sched.cancel(id));
-                }
+                Ev::Plant(t) => sched.schedule_in(1.0, Ev::Tag(t)),
             }
         }
         fn event_label(ev: &Ev) -> &'static str {
             match ev {
                 Ev::Tag(_) => "tag",
-                Ev::CancelPlanted => "cancel",
+                Ev::Plant(_) => "plant",
             }
         }
     }
 
     fn engine() -> Engine<Recorder> {
-        Engine::new(Recorder {
-            log: Vec::new(),
-            cancel_target: None,
-        })
+        Engine::new(Recorder { log: Vec::new() })
     }
 
     #[test]
@@ -541,73 +426,6 @@ mod tests {
     }
 
     #[test]
-    fn cancelled_event_never_fires() {
-        let mut e = engine();
-        let victim = e.scheduler().schedule_at(5.0, Ev::Tag(99));
-        e.model_mut().cancel_target = Some(victim);
-        e.scheduler().schedule_at(1.0, Ev::CancelPlanted);
-        e.scheduler().schedule_at(6.0, Ev::Tag(1));
-        e.run_to_completion();
-        assert_eq!(e.model().log, vec![(6.0, 1)]);
-    }
-
-    #[test]
-    fn cancel_after_fire_is_noop() {
-        let mut e = engine();
-        let id = e.scheduler().schedule_at(1.0, Ev::Tag(7));
-        e.run_to_completion();
-        assert!(!e.scheduler().cancel(id));
-    }
-
-    #[test]
-    fn cancel_unknown_id_is_noop() {
-        let mut e = engine();
-        let live = e.scheduler().schedule_at(1.0, Ev::Tag(0));
-        assert_eq!(live, EventId { slot: 0, seq: 0 });
-        // An unallocated slot, and a live slot under a seq it never held.
-        assert!(!e.scheduler().cancel(EventId { slot: 1234, seq: 0 }));
-        assert!(!e.scheduler().cancel(EventId { slot: 0, seq: 1234 }));
-        assert_eq!(e.scheduler().pending(), 1);
-        e.run_to_completion();
-        assert_eq!(e.model().log, vec![(1.0, 0)]);
-    }
-
-    #[test]
-    fn stale_id_cannot_cancel_reused_slot() {
-        let mut e = engine();
-        let a = e.scheduler().schedule_at(1.0, Ev::Tag(1));
-        e.run_to_completion();
-        let b = e.scheduler().schedule_at(2.0, Ev::Tag(2));
-        assert_eq!(a.slot, b.slot, "B reuses A's freed slot");
-        assert!(!e.scheduler().cancel(a), "A already fired");
-        assert_eq!(e.scheduler().pending(), 1);
-        e.run_to_completion();
-        assert_eq!(e.model().log, vec![(1.0, 1), (2.0, 2)]);
-        assert!(!e.scheduler().cancel(b));
-    }
-
-    #[test]
-    fn slab_stays_bounded_by_peak_pending() {
-        // A leaking free list would grow the slab on every schedule.
-        let mut e = engine();
-        for i in 0..3 {
-            e.scheduler().schedule_at(f64::from(i), Ev::Tag(i));
-        }
-        for i in 3..10_003 {
-            assert!(e.step());
-            e.scheduler().schedule_in(1.5, Ev::Tag(i));
-            assert_eq!(e.scheduler().pending(), 3);
-        }
-        assert!(
-            e.sched.slab.len() <= 3,
-            "slab grew to {}",
-            e.sched.slab.len()
-        );
-        e.run_to_completion();
-        assert_eq!(e.dispatched(), 10_003);
-    }
-
-    #[test]
     fn run_until_stops_at_boundary_inclusive() {
         let mut e = engine();
         e.scheduler().schedule_at(1.0, Ev::Tag(1));
@@ -621,116 +439,34 @@ mod tests {
     }
 
     #[test]
-    fn run_until_ignores_cancelled_head_tombstone() {
-        // Regression (binary-heap era): a cancelled entry at t-ε used to sit
-        // at the heap head and satisfy `head.time <= t`, after which step()
-        // skipped the tombstone and dispatched the live event at t+ε — past
-        // the deadline the caller asked for. The wheel deletes on cancel, so
-        // the head time is always live; the contract stays pinned here.
-        let mut e = engine();
-        let victim = e.scheduler().schedule_at(1.9, Ev::Tag(99));
-        e.scheduler().schedule_at(2.1, Ev::Tag(1));
-        e.scheduler().cancel(victim);
-        e.run_until(2.0);
-        assert_eq!(e.model().log, vec![], "no live event lies at or before t");
-        assert_eq!(e.scheduler().pending(), 1, "the t+ε event must survive");
-        assert_eq!(e.now(), 0.0, "time must not advance past the deadline");
-        // The surviving event still fires once the deadline allows it.
-        e.run_until(2.1);
-        assert_eq!(e.model().log, vec![(2.1, 1)]);
-    }
-
-    #[test]
-    fn run_until_drains_consecutive_tombstones() {
-        let mut e = engine();
-        let mut victims = Vec::new();
-        for i in 0..5 {
-            victims.push(
-                e.scheduler()
-                    .schedule_at(1.0 + f64::from(i) * 0.1, Ev::Tag(i)),
-            );
-        }
-        e.scheduler().schedule_at(3.0, Ev::Tag(42));
-        for v in victims {
-            assert!(e.scheduler().cancel(v));
-        }
-        e.run_until(2.0);
-        assert_eq!(e.model().log, vec![]);
-        e.run_until(3.0);
-        assert_eq!(e.model().log, vec![(3.0, 42)]);
-    }
-
-    #[test]
-    fn peek_live_skips_tombstones_and_reports_next_live_time() {
-        let mut e = engine();
-        let victim = e.scheduler().schedule_at(1.0, Ev::Tag(0));
-        e.scheduler().schedule_at(4.0, Ev::Tag(1));
-        assert_eq!(e.scheduler().peek_live(), Some(1.0));
-        e.scheduler().cancel(victim);
-        assert_eq!(e.scheduler().peek_live(), Some(4.0));
-        assert_eq!(e.scheduler().pending(), 1);
-        e.run_to_completion();
-        assert_eq!(e.scheduler().peek_live(), None);
-    }
-
-    #[test]
-    fn cancel_then_reschedule_at_same_instant() {
-        // Cancelling and replanting at the same time must fire only the
-        // replacement, in the seq order of the *new* schedule call.
-        let mut e = engine();
-        let old = e.scheduler().schedule_at(5.0, Ev::Tag(1));
-        e.scheduler().schedule_at(5.0, Ev::Tag(2));
-        assert!(e.scheduler().cancel(old));
-        e.scheduler().schedule_at(5.0, Ev::Tag(3));
-        e.run_to_completion();
-        assert_eq!(e.model().log, vec![(5.0, 2), (5.0, 3)]);
-    }
-
-    #[test]
-    fn pending_is_accurate_after_mixed_cancel_and_pop() {
-        let mut e = engine();
-        let a = e.scheduler().schedule_at(1.0, Ev::Tag(0));
-        let b = e.scheduler().schedule_at(2.0, Ev::Tag(1));
-        e.scheduler().schedule_at(3.0, Ev::Tag(2));
-        assert_eq!(e.scheduler().pending(), 3);
-        // Cancel the head, dispatch the next live event, cancel another.
-        assert!(e.scheduler().cancel(a));
-        assert_eq!(e.scheduler().pending(), 2);
-        assert!(e.step());
-        assert_eq!(e.model().log, vec![(2.0, 1)]);
-        assert_eq!(e.scheduler().pending(), 1);
-        assert!(!e.scheduler().cancel(b), "already fired");
-        assert_eq!(e.scheduler().pending(), 1);
-        e.run_to_completion();
-        assert_eq!(e.scheduler().pending(), 0);
-    }
-
-    #[test]
     fn run_until_fires_events_exactly_at_t() {
-        // The boundary is documented as inclusive, also when a same-instant
-        // sibling was cancelled.
+        // The boundary is documented as inclusive, also when the events at
+        // `t` sit in a far bucket that must cascade down to become the head,
+        // beside a same-tick sibling just past `t`.
+        let t: Time = 4096.0;
         let mut e = engine();
-        let victim = e.scheduler().schedule_at(2.0, Ev::Tag(0));
-        e.scheduler().schedule_at(2.0, Ev::Tag(1));
-        e.scheduler().cancel(victim);
-        e.run_until(2.0);
-        assert_eq!(e.model().log, vec![(2.0, 1)]);
+        e.scheduler().schedule_at(t.next_up(), Ev::Tag(2));
+        e.scheduler().schedule_at(t, Ev::Tag(0));
+        e.scheduler().schedule_at(t, Ev::Tag(1));
+        e.run_until(t);
+        assert_eq!(e.model().log, vec![(t, 0), (t, 1)]);
+        assert_eq!(e.now(), t);
+        assert_eq!(e.scheduler().pending(), 1, "the t+ε event must survive");
+        assert_eq!(e.scheduler().peek_live(), Some(t.next_up()));
     }
 
     #[test]
     fn engine_obs_counts_dispatches_per_label() {
         let mut e = engine();
         e.enable_obs(bpp_obs::EngineObs::new(1.0));
-        let victim = e.scheduler().schedule_at(4.0, Ev::Tag(9));
-        e.model_mut().cancel_target = Some(victim);
-        e.scheduler().schedule_at(1.0, Ev::CancelPlanted);
-        for i in 0..3 {
+        e.scheduler().schedule_at(1.0, Ev::Plant(0));
+        for i in 1..3 {
             e.scheduler().schedule_at(2.0 + f64::from(i), Ev::Tag(i));
         }
         e.run_to_completion();
         let obs = e.obs().expect("enabled above");
-        assert_eq!(obs.dispatch_count("tag"), 3);
-        assert_eq!(obs.dispatch_count("cancel"), 1);
+        assert_eq!(obs.dispatch_count("tag"), 3, "one tag planted in-handler");
+        assert_eq!(obs.dispatch_count("plant"), 1);
         assert_eq!(obs.dispatch_count("unknown"), 0);
     }
 
@@ -742,16 +478,6 @@ mod tests {
         }
         e.run_while(|m| m.log.len() < 4);
         assert_eq!(e.model().log.len(), 4);
-    }
-
-    #[test]
-    fn pending_counts_exclude_cancelled() {
-        let mut e = engine();
-        let a = e.scheduler().schedule_at(1.0, Ev::Tag(0));
-        e.scheduler().schedule_at(2.0, Ev::Tag(1));
-        assert_eq!(e.scheduler().pending(), 2);
-        e.scheduler().cancel(a);
-        assert_eq!(e.scheduler().pending(), 1);
     }
 
     #[test]
@@ -832,16 +558,34 @@ mod tests {
     }
 
     #[test]
-    fn cancel_in_far_bucket_truly_deletes() {
+    fn pending_tracks_schedules_and_dispatches_across_cascades() {
+        // Events spread over level 0, level 1, level 2 and the overflow
+        // levels, plus an in-handler plant: every schedule adds one, every
+        // dispatch removes one, and cascades (which move entries between
+        // buckets) change nothing.
+        let times = [0.5, 3.0, 3.0, 70.25, 4100.0, 300_000.5, 1.0e12];
         let mut e = engine();
-        let far = e.scheduler().schedule_at(1.0e9, Ev::Tag(0));
-        e.scheduler().schedule_at(1.0, Ev::Tag(1));
-        assert!(e.scheduler().cancel(far));
-        assert_eq!(e.scheduler().pending(), 1);
-        e.run_to_completion();
-        assert_eq!(e.model().log, vec![(1.0, 1)]);
-        assert_eq!(e.scheduler().peek_live(), None);
-        assert_eq!(e.scheduler().pending(), 0);
+        for (i, &t) in times.iter().enumerate() {
+            e.scheduler().schedule_at(t, Ev::Tag(i as u32));
+            assert_eq!(e.scheduler().pending(), i + 1);
+        }
+        e.scheduler().schedule_at(2.5, Ev::Plant(100));
+        let mut expect = times.len() + 1;
+        assert_eq!(e.scheduler().pending(), expect);
+        while let Some(next) = e.scheduler().peek_live() {
+            assert_eq!(e.scheduler().pending(), expect, "peek is not a pop");
+            let logged = e.model().log.len();
+            assert!(e.step());
+            assert_eq!(e.now(), next);
+            // A plant dispatches one event and schedules another.
+            let planted = e.model().log.len() == logged;
+            expect = expect - 1 + usize::from(planted);
+            assert_eq!(e.scheduler().pending(), expect);
+        }
+        assert_eq!(expect, 0);
+        assert!(!e.step());
+        assert_eq!(e.dispatched(), times.len() as u64 + 2);
+        assert_eq!(e.model().log[3], (3.5, 100));
     }
 
     #[test]

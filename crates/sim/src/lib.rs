@@ -12,8 +12,8 @@
 //!   (the time to broadcast one page);
 //! * events scheduled for the same instant fire in FIFO order (a strict
 //!   total order, so runs are bit-for-bit reproducible);
-//! * events can be cancelled via the [`EventId`] handle returned at
-//!   scheduling time;
+//! * a scheduled event always fires; a model that outgrows a timer tags
+//!   the event with a generation counter and ignores it when it fires;
 //! * randomness comes only from explicitly seeded generators
 //!   (see [`rng`]), never from ambient entropy.
 //!
@@ -61,7 +61,7 @@ pub mod stats;
 
 pub use approx::{approx_eq, exactly, exactly_zero};
 pub use bpp_obs::EngineObs;
-pub use engine::{Engine, EventId, Model, Scheduler, Time};
+pub use engine::{Engine, Model, Scheduler, Time};
 pub use refsched::ReferenceScheduler;
 pub use rng::{stream_rng, Rng, Sample, Stream, Xoshiro256pp};
 pub use stats::{autocorrelation, BatchMeans, Confidence, Ewma, Histogram, TimeWeighted, Welford};

@@ -1,23 +1,15 @@
-//! Reference event queue: the pre-wheel binary-heap scheduler, retained
-//! verbatim in behaviour as a differential-testing oracle.
+//! Reference event queue: a plain binary heap over `(time, seq)`, kept as
+//! a differential-testing oracle.
 //!
 //! [`crate::engine::Scheduler`] is a hashed hierarchical timer wheel; its
 //! correctness contract is "identical `(time, seq)` dispatch order to a
-//! priority queue with FIFO tie-break". This module keeps that priority
-//! queue alive — tombstone cancellation and all — so property tests can
-//! drive both implementations with the same operation sequence and demand
-//! identical dispatch logs, head times, and pending counts. It is not used
-//! by any simulation path.
-//!
-//! Event handles are plain `u64` sequence numbers. The wheel's opaque
-//! [`crate::EventId`] is a slab slot plus that same seq, and cannot be
-//! constructed outside its module. The n-th `schedule_at` call on either
-//! implementation gets the same seq, so a driver can cancel "the same
-//! event" on both sides.
+//! priority queue with FIFO tie-break". This module is that priority
+//! queue, so property tests can drive both implementations with the same
+//! operation sequence and demand identical dispatch logs, head times, and
+//! pending counts. It is not used by any simulation path.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::collections::HashSet;
 
 use crate::engine::Time;
 
@@ -52,15 +44,13 @@ impl<E> Ord for Scheduled<E> {
     }
 }
 
-/// The retained binary-heap scheduler with lazy tombstone cancellation.
+/// The binary-heap scheduler.
 ///
 /// Semantics match the timer wheel exactly: same panics on bad times, same
-/// `(time, seq)` dispatch order, `pending()` counts live events only, and
-/// `peek_live` reports the next *live* head time (draining tombstones).
+/// `(time, seq)` dispatch order, `pending()` counts scheduled events not yet
+/// popped, and `peek_live` reports the head time.
 pub struct ReferenceScheduler<E> {
     heap: BinaryHeap<Scheduled<E>>,
-    live: HashSet<u64>,
-    cancelled: HashSet<u64>,
     next_seq: u64,
     now: Time,
 }
@@ -76,8 +66,6 @@ impl<E> ReferenceScheduler<E> {
     pub fn new() -> Self {
         ReferenceScheduler {
             heap: BinaryHeap::new(),
-            live: HashSet::new(),
-            cancelled: HashSet::new(),
             next_seq: 0,
             now: 0.0,
         }
@@ -89,8 +77,7 @@ impl<E> ReferenceScheduler<E> {
     }
 
     /// Schedule `event` at absolute time `at` (must be `>= now` and finite).
-    /// Returns the event's sequence number, usable with [`Self::cancel`].
-    pub fn schedule_at(&mut self, at: Time, event: E) -> u64 {
+    pub fn schedule_at(&mut self, at: Time, event: E) {
         assert!(at.is_finite(), "event time must be finite, got {at}");
         assert!(
             at >= self.now,
@@ -99,68 +86,42 @@ impl<E> ReferenceScheduler<E> {
         );
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.live.insert(seq);
         self.heap.push(Scheduled {
             time: at,
             seq,
             event,
         });
-        seq
     }
 
     /// Schedule `event` after a non-negative `delay` from now.
-    pub fn schedule_in(&mut self, delay: Time, event: E) -> u64 {
+    pub fn schedule_in(&mut self, delay: Time, event: E) {
         assert!(
             delay >= 0.0,
             "delay must be non-negative, got {delay} at t={}",
             self.now
         );
-        self.schedule_at(self.now + delay, event)
+        self.schedule_at(self.now + delay, event);
     }
 
-    /// Cancel a pending event (tombstone; the entry is discarded lazily).
-    /// Returns `true` if the event had not yet fired or been cancelled.
-    pub fn cancel(&mut self, seq: u64) -> bool {
-        if self.live.remove(&seq) {
-            self.cancelled.insert(seq);
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Number of pending (non-cancelled) events.
+    /// Number of pending events.
     pub fn pending(&self) -> usize {
-        self.live.len()
+        self.heap.len()
     }
 
-    /// Time of the next *live* event, draining head tombstones first.
-    pub fn peek_live(&mut self) -> Option<Time> {
-        while let Some(head) = self.heap.peek() {
-            if self.cancelled.remove(&head.seq) {
-                self.heap.pop();
-                continue;
-            }
-            return Some(head.time);
-        }
-        None
+    /// Time of the next event, or `None` when nothing remains.
+    pub fn peek_live(&self) -> Option<Time> {
+        self.heap.peek().map(|head| head.time)
     }
 
-    /// Pop the next live event, advancing `now` to its time — the heap-side
+    /// Pop the next event, advancing `now` to its time — the heap-side
     /// equivalent of one [`crate::Engine::step`] dispatch.
     pub fn pop(&mut self) -> Option<(Time, E)> {
-        while let Some(s) = self.heap.pop() {
-            if self.cancelled.remove(&s.seq) {
-                continue;
-            }
-            self.live.remove(&s.seq);
-            self.now = s.time;
-            return Some((s.time, s.event));
-        }
-        None
+        let s = self.heap.pop()?;
+        self.now = s.time;
+        Some((s.time, s.event))
     }
 
-    /// Pop every live event at or before `t`, in `(time, seq)` order — the
+    /// Pop every event at or before `t`, in `(time, seq)` order — the
     /// heap-side equivalent of [`crate::Engine::run_until`]. Returns the
     /// dispatched `(time, event)` pairs.
     pub fn drain_until(&mut self, t: Time) -> Vec<(Time, E)> {
@@ -185,33 +146,11 @@ mod tests {
         s.schedule_at(2.0, "b");
         s.schedule_at(1.0, "a");
         s.schedule_at(2.0, "c");
+        s.schedule_at(2.5, "d");
         let fired = s.drain_until(2.0);
         assert_eq!(fired, vec![(1.0, "a"), (2.0, "b"), (2.0, "c")]);
         assert_eq!(s.now(), 2.0);
-    }
-
-    #[test]
-    fn tombstone_past_deadline_admits_no_dispatch() {
-        // The PR 5 regression shape, on the oracle itself.
-        let mut s = ReferenceScheduler::new();
-        let victim = s.schedule_at(1.9, "victim");
-        s.schedule_at(2.1, "live");
-        assert!(s.cancel(victim));
-        assert!(s.drain_until(2.0).is_empty());
-        assert_eq!(s.now(), 0.0);
         assert_eq!(s.pending(), 1);
-        assert_eq!(s.drain_until(2.1), vec![(2.1, "live")]);
-    }
-
-    #[test]
-    fn pending_excludes_tombstones() {
-        let mut s = ReferenceScheduler::new();
-        let a = s.schedule_at(1.0, ());
-        s.schedule_at(2.0, ());
-        assert_eq!(s.pending(), 2);
-        assert!(s.cancel(a));
-        assert!(!s.cancel(a));
-        assert_eq!(s.pending(), 1);
-        assert_eq!(s.peek_live(), Some(2.0));
+        assert_eq!(s.peek_live(), Some(2.5));
     }
 }

@@ -22,8 +22,10 @@ cargo test -q --frozen
 # gate on it explicitly so a filtered/partial test invocation can't skip it.
 cargo test -q --frozen -p bpp-core --test faults
 # Likewise the timer wheel's differential test against the reference heap
-# scheduler, on which the wheel's correctness rests.
+# scheduler, on which the wheel's correctness rests; once more in release,
+# so the build of the wheel that the simulator ships is compared as well.
 cargo test -q --frozen -p bpp-sim --test differential
+cargo test --release -q --frozen -p bpp-sim --test differential
 # And the two suites that audit request conservation at runtime (the
 # config fuzz and the chaos harness check the ConservationLedger on every
 # run); no static rule backs them, so a filtered run must not skip them.
