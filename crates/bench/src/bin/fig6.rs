@@ -9,6 +9,7 @@
 
 use bpp_bench::{drops_table, emit, Opts};
 use bpp_core::experiments::{fig6, TTR_GRID_FINE};
+use bpp_sim::approx::exactly;
 
 fn main() {
     let opts = Opts::parse();
@@ -21,7 +22,7 @@ fn main() {
     emit(&b, &opts);
 
     // §4.2 checkpoint: drops at TTR=50 for IPP thres 0% vs Pure-Pull.
-    let idx = TTR_GRID_FINE.iter().position(|&t| t == 50.0);
+    let idx = TTR_GRID_FINE.iter().position(|&t| exactly(t, 50.0));
     if let Some(i) = idx {
         let ipp = a
             .series

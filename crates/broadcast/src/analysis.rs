@@ -72,6 +72,7 @@ pub fn analyse(program: &BroadcastProgram, probs: &[f64], cached: &[PageId]) -> 
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "tests pin exact values")]
 mod tests {
     use super::*;
     use crate::assignment::{identity_ranking, Assignment, DiskSpec};

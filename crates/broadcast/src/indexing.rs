@@ -216,6 +216,7 @@ pub fn optimal_m(data_cycle: usize, index_size: usize) -> usize {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "tests pin exact values")]
 mod tests {
     use super::*;
     use crate::assignment::{identity_ranking, Assignment, DiskSpec};

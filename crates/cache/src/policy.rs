@@ -73,6 +73,7 @@ impl CacheStats {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "tests pin exact values")]
 mod tests {
     use super::*;
 

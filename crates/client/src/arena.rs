@@ -400,6 +400,7 @@ impl ClientArena {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "tests pin exact values")]
 mod tests {
     use super::*;
     use bpp_broadcast::{assignment::identity_ranking, Assignment, BroadcastProgram, DiskSpec};

@@ -100,6 +100,7 @@ impl WarmupTracker {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "tests pin exact values")]
 mod tests {
     use super::*;
 

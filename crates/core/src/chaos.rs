@@ -271,6 +271,7 @@ pub fn run_chaos(
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "tests pin exact values")]
 mod tests {
     use super::*;
     use crate::config::Algorithm;

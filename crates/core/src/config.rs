@@ -1166,6 +1166,7 @@ impl ToJson for MeasurementProtocol {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "tests pin exact values")]
 mod tests {
     use super::*;
 

@@ -965,6 +965,7 @@ pub fn verify_targets(base: &SystemConfig) -> Vec<(String, SystemConfig)> {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "tests pin exact values")]
 mod tests {
     use super::*;
 

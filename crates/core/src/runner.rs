@@ -138,6 +138,24 @@ impl ToJson for FleetResult {
 }
 
 impl SteadyStateResult {
+    /// Whether the run's slot split adds up. Every broadcast unit carries
+    /// one slot per channel (K channels are K-fold bandwidth), and a unit
+    /// the server spends down silences every channel but counts one
+    /// `down_slots`, so push + pull + empty + idle + K · `down_slots`
+    /// equals K · `sim_time`, within K for the unit in flight when the run
+    /// stopped.
+    pub fn slot_split_holds(&self, num_channels: usize) -> bool {
+        let k = num_channels as u64;
+        let down_slots = self
+            .fault
+            .as_ref()
+            .and_then(|f| f.crash.as_ref())
+            .map_or(0, |c| c.down_slots);
+        let s = &self.slots;
+        let total = s.push_pages + s.pull_pages + s.empty + s.idle + k * down_slots;
+        (total as f64 - k as f64 * self.sim_time).abs() <= k as f64
+    }
+
     /// A placeholder result for a sweep cell that panicked: every metric is
     /// poisoned (NaN / zero) and `error` carries the panic message together
     /// with the failed cell's seed and config snapshot.
@@ -337,15 +355,25 @@ pub(crate) fn collect_steady_state(
 /// # Panics
 ///
 /// Panics when the run's [`ConservationLedger`](crate::fault::ConservationLedger)
-/// is dirty: a lost request, a queue over its bound or time running
-/// backwards is a simulator bug. [`par_run`](crate::experiments::par_run)
-/// turns the panic into the cell's `error`.
+/// is dirty or its slot split does not add up
+/// ([`SteadyStateResult::slot_split_holds`]): a lost request, a queue over
+/// its bound, time running backwards or a slot counted twice is a
+/// simulator bug. [`par_run`](crate::experiments::par_run) turns the panic
+/// into the cell's `error`.
 pub fn run_steady_state(cfg: &SystemConfig, protocol: &MeasurementProtocol) -> SteadyStateResult {
     let mut engine = World::steady_state(cfg, protocol).into_engine();
     engine.run_while(|w| !w.done());
     let w = engine.model();
     w.conservation_ledger().assert_clean();
-    collect_steady_state(w, engine.obs(), engine.now(), w.converged())
+    let r = collect_steady_state(w, engine.obs(), engine.now(), w.converged());
+    assert!(
+        r.slot_split_holds(cfg.num_channels),
+        "slot split {:?} does not add up to {} channel(s) x {} time units",
+        r.slots,
+        cfg.num_channels,
+        r.sim_time
+    );
+    r
 }
 
 /// Run the warm-up protocol of Figure 4: a cold MC joins the broadcast and
@@ -373,6 +401,7 @@ pub fn run_warmup(cfg: &SystemConfig, protocol: &MeasurementProtocol) -> WarmupR
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "tests pin exact values")]
 mod tests {
     use super::*;
     use crate::config::Algorithm;

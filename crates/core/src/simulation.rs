@@ -618,7 +618,8 @@ impl World {
             mc,
             vc,
             fleet,
-            // bpp-lint: allow(D7): fleet-owned bpp-client arena forwards draws into bpp-workload samplers; every draw is fleet-initiated
+            // Fleet-owned: the bpp-client arena forwards draws into bpp-workload
+            // samplers; every draw is fleet-initiated.
             rng_fleet: stream_rng(cfg.seed, Stream::Fleet),
             next_vc_arrival: 0.0,
             has_backchannel,
@@ -635,9 +636,11 @@ impl World {
                 mc_invalidations: 0,
             }),
             rng_mux: stream_rng(cfg.seed, Stream::Mux),
-            // bpp-lint: allow(D7): client-owned bpp-workload samplers draw on the MC stream; every draw is client-initiated
+            // Client-owned: bpp-workload samplers draw on the MC stream; every
+            // draw is client-initiated.
             rng_mc: stream_rng(cfg.seed, Stream::Mc),
-            // bpp-lint: allow(D7): client-owned bpp-workload samplers draw on the VC stream; every draw is client-initiated
+            // Client-owned: bpp-workload samplers draw on the VC stream; every
+            // draw is client-initiated.
             rng_vc: stream_rng(cfg.seed, Stream::Vc),
             protocol: *protocol,
             phase,
@@ -1692,6 +1695,7 @@ impl Model for World {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "tests pin exact values")]
 mod tests {
     use super::*;
     use crate::config::FaultConfig;

@@ -190,6 +190,7 @@ impl ToJson for Timeline {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "tests pin exact values")]
 mod tests {
     use super::*;
 

@@ -1,11 +1,14 @@
 //! Float comparison helpers — the workspace's one blessed home for
 //! floating-point equality.
 //!
-//! Raw `==`/`!=` between floats is banned in library code by `bpp-lint`
-//! rule D4: scattered exact comparisons are how NaN sentinels, `-0.0`
-//! surprises and tolerance drift sneak into a determinism-critical
-//! codebase. Call sites route through these helpers instead, which makes
-//! every exact comparison a named, greppable decision:
+//! Library code compares no floats with `==`/`!=`: clippy's `float_cmp`
+//! rejects exact comparisons, and `tests/hygiene.rs` rejects those
+//! against a float literal or an `f64::`/`f32::` constant, which
+//! `float_cmp` lets through for zero and infinity. Scattered exact
+//! comparisons are how NaN sentinels, `-0.0` surprises and tolerance drift
+//! sneak into a determinism-critical codebase. Call sites route through
+//! these helpers instead, which makes every exact comparison a named,
+//! greppable decision:
 //!
 //! * [`exactly`] / [`exactly_zero`] — *intentional* exact equality, for
 //!   sentinel values that are set, never computed (a `0.0` meaning
@@ -17,7 +20,12 @@
 ///
 /// Semantically identical to `a == b` (so `NaN != NaN`, and `-0.0 ==
 /// 0.0`); the function exists so exact float comparisons are explicit
-/// and centralized: lint rule D4 routes float-literal comparisons here.
+/// and centralized: it is the one place library code expects
+/// `clippy::float_cmp`.
+#[expect(
+    clippy::float_cmp,
+    reason = "the one place library code compares floats exactly"
+)]
 pub fn exactly(a: f64, b: f64) -> bool {
     a == b
 }

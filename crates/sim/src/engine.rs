@@ -172,8 +172,8 @@ impl<E> Scheduler<E> {
         self.buckets[b].last().map(|s| s.time)
     }
 
-    /// Route an entry to its bucket.
-    fn place(&mut self, s: Scheduled<E>) {
+    /// Route an entry to its bucket; returns the bucket's flat index.
+    fn place(&mut self, s: Scheduled<E>) -> usize {
         let tick = s.time as u64;
         let b = if tick <= self.wheel_pos {
             // At-or-behind the cursor (the cursor may run ahead of `now`
@@ -199,6 +199,7 @@ impl<E> Scheduler<E> {
         } else {
             self.buckets[b].push(s);
         }
+        b
     }
 
     /// Make `cur_bucket` point at the bucket holding the earliest pending
@@ -240,7 +241,13 @@ impl<E> Scheduler<E> {
             self.occ[level] &= !(1 << slot);
             let entries = std::mem::take(&mut self.buckets[b]);
             for s in entries {
-                self.place(s);
+                let to = self.place(s);
+                // A re-placed entry that stayed at `level` would be
+                // cascaded again forever; fail instead of spinning.
+                debug_assert!(
+                    to < level * SLOTS,
+                    "cascade re-placed an entry from level {level} into bucket {to}"
+                );
             }
         }
     }
@@ -360,6 +367,7 @@ impl<M: Model> Engine<M> {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "tests pin exact values")]
 mod tests {
     use super::*;
 

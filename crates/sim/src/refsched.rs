@@ -137,6 +137,7 @@ impl<E> ReferenceScheduler<E> {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "tests pin exact values")]
 mod tests {
     use super::*;
 

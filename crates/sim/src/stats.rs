@@ -435,6 +435,7 @@ impl TimeWeighted {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "tests pin exact values")]
 mod tests {
     use super::*;
 

@@ -61,9 +61,9 @@ impl ToJson for Finding {
     }
 }
 
-/// Schema-versioned verification report (schema version 1), bpp-lint style:
-/// deterministic ordering, pretty JSON with a trailing newline as the
-/// golden-file bytes, and a human rendering for terminals.
+/// Schema-versioned verification report (schema version 1): deterministic
+/// ordering, pretty JSON with a trailing newline as the golden-file bytes,
+/// and a human rendering for terminals.
 #[derive(Debug, Clone, Default)]
 pub struct Report {
     /// Number of targets verified.

@@ -84,6 +84,7 @@ impl AccessPattern {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "tests pin exact values")]
 mod tests {
     use super::*;
     use bpp_sim::rng::Xoshiro256pp;

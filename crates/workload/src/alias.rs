@@ -92,6 +92,7 @@ impl AliasTable {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "tests pin exact values")]
 mod tests {
     use super::*;
     use bpp_sim::rng::Xoshiro256pp;

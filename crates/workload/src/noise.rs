@@ -96,6 +96,7 @@ impl NoisePermutation {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "tests pin exact values")]
 mod tests {
     use super::*;
     use bpp_sim::rng::Xoshiro256pp;

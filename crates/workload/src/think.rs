@@ -44,6 +44,7 @@ impl ThinkTime {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "tests pin exact values")]
 mod tests {
     use super::*;
     use bpp_sim::rng::Xoshiro256pp;

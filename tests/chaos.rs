@@ -11,6 +11,8 @@
 //! * the conservation auditor actually bites: a tampered ledger reports
 //!   violations and `assert_clean` panics.
 
+#![expect(clippy::float_cmp, reason = "tests pin exact values")]
+
 use bpp_client::RetryPolicy;
 use bpp_core::{
     run_chaos, run_steady_state, AdmissionConfig, Algorithm, ClientPopulation, CrashConfig,

@@ -1,6 +1,8 @@
 //! Reproducibility guarantees: every run is a pure function of its
 //! configuration (including the seed).
 
+#![expect(clippy::float_cmp, reason = "tests pin exact values")]
+
 use bpp_core::adaptive::{run_adaptive, AdaptiveConfig};
 use bpp_core::experiments::{derive_seed, fig4, par_run};
 use bpp_core::{run_steady_state, run_warmup, Algorithm, MeasurementProtocol, SystemConfig};

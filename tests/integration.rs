@@ -1,6 +1,8 @@
 //! Cross-crate integration tests: conservation laws and consistency
 //! invariants of full simulation runs.
 
+#![expect(clippy::float_cmp, reason = "tests pin exact values")]
+
 use bpp_core::{
     analytic, run_steady_state, run_warmup, Algorithm, MeasurementProtocol, QueueDiscipline,
     SystemConfig,

@@ -7,6 +7,8 @@
 //! Runs use the quick protocol; each assertion compares means whose gaps
 //! are far larger than the measurement noise.
 
+#![expect(clippy::float_cmp, reason = "tests pin exact values")]
+
 use bpp_core::{run_steady_state, run_warmup, Algorithm, MeasurementProtocol, SystemConfig};
 
 fn paper(algo: Algorithm, ttr: f64) -> SystemConfig {
