@@ -12,10 +12,11 @@
 //! `--smoke` instead runs a fixed set of single-channel cells — the
 //! adaptive controller (plain and across scheduled crashes), saturation
 //! degrade, most-requested-first, updates with prefetch, Pure-Pull, a
-//! chopped program with the per-disk obs timelines, and two Figure-4
-//! warm-up worlds — at seed 42 on the quick protocol, and prints their
-//! results as one JSON object; `scripts/ci.sh` compares the output
-//! byte-for-byte against `results/k1_parity_smoke.json`.
+//! chopped program with the per-disk obs timelines, two Figure-4 warm-up
+//! worlds, and Pure-Push under the LRU and LFU caches — at seed 42 on the
+//! quick protocol, and prints their results as one JSON object;
+//! `scripts/ci.sh` compares the output byte-for-byte against
+//! `results/k1_parity_smoke.json`.
 
 use bpp_bench::Opts;
 use bpp_core::adaptive::{run_adaptive, AdaptiveConfig};
@@ -132,6 +133,28 @@ fn smoke() {
                 &with(&|c| {
                     c.algorithm = Algorithm::PurePush;
                     c.mc_prefetch = true;
+                }),
+                &proto,
+            )
+            .to_json(),
+        ),
+        (
+            "push_lru",
+            run_steady_state(
+                &with(&|c| {
+                    c.algorithm = Algorithm::PurePush;
+                    c.mc_cache_policy = Some(CachePolicy::Lru);
+                }),
+                &proto,
+            )
+            .to_json(),
+        ),
+        (
+            "push_lfu",
+            run_steady_state(
+                &with(&|c| {
+                    c.algorithm = Algorithm::PurePush;
+                    c.mc_cache_policy = Some(CachePolicy::Lfu);
                 }),
                 &proto,
             )

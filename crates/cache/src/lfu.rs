@@ -5,15 +5,20 @@
 //! oldest out first.
 
 use crate::policy::{CacheStats, ReplacementPolicy};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
 /// LFU cache over dense item indexes.
+///
+/// Per-item state is a vector indexed by item that grows on demand, so
+/// memory is O(largest item seen).
 #[derive(Debug, Clone, Default)]
 pub struct LfuCache {
     capacity: usize,
-    /// item -> (count, stamp)
-    state: HashMap<usize, (u64, u64)>,
-    /// (count, stamp, item): least frequent, then oldest, first.
+    /// `state[item]`: (access count, last-use stamp) of a cached item;
+    /// `(0, 0)` when the item is not cached (a cached count is >= 1).
+    state: Vec<(u64, u64)>,
+    /// (count, stamp, item): least frequent, then oldest, first. One entry
+    /// per cached item, so its length is the cache's.
     order: BTreeSet<(u64, u64, usize)>,
     clock: u64,
     stats: CacheStats,
@@ -28,17 +33,31 @@ impl LfuCache {
         }
     }
 
+    /// Count an access to a cached `item`, or admit an uncached one.
     fn bump(&mut self, item: usize) {
         self.clock += 1;
         let stamp = self.clock;
-        let entry = self.state.entry(item).or_insert((0, 0));
-        let old = *entry;
-        entry.0 += 1;
-        entry.1 = stamp;
-        if old.0 > 0 || self.order.contains(&(old.0, old.1, item)) {
-            self.order.remove(&(old.0, old.1, item));
+        if item >= self.state.len() {
+            self.state.resize(item + 1, (0, 0));
         }
-        self.order.insert((entry.0, stamp, item));
+        let (count, old_stamp) = self.state[item];
+        if count > 0 {
+            self.order.remove(&(count, old_stamp, item));
+        }
+        self.state[item] = (count + 1, stamp);
+        self.order.insert((count + 1, stamp, item));
+    }
+
+    /// Drop a cached `item` whose state is `(count, stamp)`.
+    fn forget(&mut self, item: usize, (count, stamp): (u64, u64)) {
+        self.order.remove(&(count, stamp, item));
+        self.state[item] = (0, 0);
+        self.stats.evictions += 1;
+    }
+
+    /// `item`'s (count, stamp), `(0, 0)` when it is not cached.
+    fn entry(&self, item: usize) -> (u64, u64) {
+        self.state.get(item).copied().unwrap_or((0, 0))
     }
 }
 
@@ -48,15 +67,15 @@ impl ReplacementPolicy for LfuCache {
     }
 
     fn len(&self) -> usize {
-        self.state.len()
+        self.order.len()
     }
 
     fn contains(&self, item: usize) -> bool {
-        self.state.contains_key(&item)
+        self.entry(item).0 > 0
     }
 
     fn lookup(&mut self, item: usize) -> bool {
-        if self.state.contains_key(&item) {
+        if self.contains(item) {
             self.stats.hits += 1;
             self.bump(item);
             true
@@ -70,16 +89,14 @@ impl ReplacementPolicy for LfuCache {
         if self.capacity == 0 {
             return None;
         }
-        if self.state.contains_key(&item) {
+        if self.contains(item) {
             self.bump(item);
             return None;
         }
-        let evicted = if self.state.len() == self.capacity {
+        let evicted = if self.len() == self.capacity {
             #[expect(clippy::expect_used, reason = "a full cache has a non-empty order set")]
             let &(c, s, victim) = self.order.first().expect("full cache non-empty");
-            self.order.remove(&(c, s, victim));
-            self.state.remove(&victim);
-            self.stats.evictions += 1;
+            self.forget(victim, (c, s));
             Some(victim)
         } else {
             None
@@ -90,14 +107,11 @@ impl ReplacementPolicy for LfuCache {
     }
 
     fn remove(&mut self, item: usize) -> bool {
-        match self.state.remove(&item) {
-            Some((count, stamp)) => {
-                self.order.remove(&(count, stamp, item));
-                self.stats.evictions += 1;
-                true
-            }
-            None => false,
+        let entry = self.entry(item);
+        if entry.0 > 0 {
+            self.forget(item, entry);
         }
+        entry.0 > 0
     }
 
     fn stats(&self) -> &CacheStats {
@@ -136,7 +150,7 @@ mod tests {
             assert!(c.lookup(1));
         }
         assert_eq!(c.stats().hits, 5);
-        assert_eq!(c.state[&1].0, 6); // insert + 5 hits
+        assert_eq!(c.state[1].0, 6); // insert + 5 hits
     }
 
     #[test]
@@ -158,7 +172,7 @@ mod tests {
         assert!(!c.contains(1));
         // Re-inserted item starts from a fresh count.
         c.insert(1);
-        assert_eq!(c.state[&1].0, 1);
+        assert_eq!(c.state[1].0, 1);
     }
 
     #[test]

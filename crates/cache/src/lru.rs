@@ -5,15 +5,20 @@
 //! reproduce that claim.
 
 use crate::policy::{CacheStats, ReplacementPolicy};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
 /// Classic LRU over dense item indexes.
+///
+/// Per-item state is a vector indexed by item that grows on demand, so
+/// memory is O(largest item seen).
 #[derive(Debug, Clone, Default)]
 pub struct LruCache {
     capacity: usize,
-    /// item -> last-use stamp
-    stamp_of: HashMap<usize, u64>,
-    /// (stamp, item) ordered oldest first
+    /// `stamp_of[item]`: last-use stamp of a cached item; 0 when the item
+    /// is not cached (stamps start at 1).
+    stamp_of: Vec<u64>,
+    /// (stamp, item) ordered oldest first: one entry per cached item, so
+    /// its length is the cache's.
     by_age: BTreeSet<(u64, usize)>,
     clock: u64,
     stats: CacheStats,
@@ -33,12 +38,29 @@ impl LruCache {
         self.clock
     }
 
+    /// Refresh a cached `item`'s recency, or admit an uncached one.
     fn touch(&mut self, item: usize) {
         let stamp = self.tick();
-        if let Some(old) = self.stamp_of.insert(item, stamp) {
+        if item >= self.stamp_of.len() {
+            self.stamp_of.resize(item + 1, 0);
+        }
+        let old = std::mem::replace(&mut self.stamp_of[item], stamp);
+        if old > 0 {
             self.by_age.remove(&(old, item));
         }
         self.by_age.insert((stamp, item));
+    }
+
+    /// Drop a cached `item` whose stamp is `stamp`.
+    fn forget(&mut self, item: usize, stamp: u64) {
+        self.by_age.remove(&(stamp, item));
+        self.stamp_of[item] = 0;
+        self.stats.evictions += 1;
+    }
+
+    /// `item`'s last-use stamp, 0 when it is not cached.
+    fn stamp(&self, item: usize) -> u64 {
+        self.stamp_of.get(item).copied().unwrap_or(0)
     }
 }
 
@@ -48,15 +70,15 @@ impl ReplacementPolicy for LruCache {
     }
 
     fn len(&self) -> usize {
-        self.stamp_of.len()
+        self.by_age.len()
     }
 
     fn contains(&self, item: usize) -> bool {
-        self.stamp_of.contains_key(&item)
+        self.stamp(item) > 0
     }
 
     fn lookup(&mut self, item: usize) -> bool {
-        if self.stamp_of.contains_key(&item) {
+        if self.contains(item) {
             self.stats.hits += 1;
             self.touch(item);
             true
@@ -70,16 +92,14 @@ impl ReplacementPolicy for LruCache {
         if self.capacity == 0 {
             return None;
         }
-        if self.stamp_of.contains_key(&item) {
+        if self.contains(item) {
             self.touch(item);
             return None;
         }
-        let evicted = if self.stamp_of.len() == self.capacity {
+        let evicted = if self.len() == self.capacity {
             #[expect(clippy::expect_used, reason = "a full cache has a non-empty age set")]
             let &(stamp, victim) = self.by_age.first().expect("full cache non-empty");
-            self.by_age.remove(&(stamp, victim));
-            self.stamp_of.remove(&victim);
-            self.stats.evictions += 1;
+            self.forget(victim, stamp);
             Some(victim)
         } else {
             None
@@ -90,14 +110,11 @@ impl ReplacementPolicy for LruCache {
     }
 
     fn remove(&mut self, item: usize) -> bool {
-        match self.stamp_of.remove(&item) {
-            Some(stamp) => {
-                self.by_age.remove(&(stamp, item));
-                self.stats.evictions += 1;
-                true
-            }
-            None => false,
+        let stamp = self.stamp(item);
+        if stamp > 0 {
+            self.forget(item, stamp);
         }
+        stamp > 0
     }
 
     fn stats(&self) -> &CacheStats {

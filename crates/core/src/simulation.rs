@@ -1699,7 +1699,7 @@ impl Model for World {
 mod tests {
     use super::*;
     use crate::config::FaultConfig;
-    use bpp_server::AdmissionConfig;
+    use bpp_server::{AdmissionConfig, OverflowPolicy};
 
     fn quick_cfg(algorithm: Algorithm) -> SystemConfig {
         let mut c = SystemConfig::small();
@@ -1888,6 +1888,64 @@ mod tests {
             .find(|(name, _)| name == "server.queue_depth")
             .expect("queue depth timeline present");
         assert!(!depth.1.points().is_empty());
+    }
+
+    /// Little's law on the pull queue, checked against the obs layer:
+    /// returns the time integral of `server.queue_depth`, the summed
+    /// queueing delay of every entry (`pull_wait` of the served ones plus
+    /// the wait so far of those still queued at the end), and the numbers
+    /// of served and still-queued entries.
+    fn littles_law_sides(think_time_ratio: f64) -> (f64, f64, u64, u64) {
+        let mut cfg = quick_cfg(Algorithm::Ipp);
+        cfg.pull_bw = 0.5;
+        cfg.think_time_ratio = think_time_ratio;
+        cfg.obs.enabled = true;
+        assert_eq!(cfg.fault.overflow, OverflowPolicy::DropNewest);
+        assert!(!cfg.fault.crash.enabled());
+        let engine = run(&cfg);
+        let w = engine.model();
+        let t_end = engine.now();
+        let report = w.obs_report(engine.obs(), t_end).expect("obs enabled");
+        let depth = report
+            .timelines
+            .iter()
+            .find(|(name, _)| name == "server.queue_depth")
+            .expect("queue depth timeline present");
+        let m = &report.metrics;
+        let served = m.counter("server.pull_wait.count");
+        let mut waits = served as f64 * m.gauge_value("server.pull_wait.mean").unwrap_or(0.0);
+        let mut left = w.shards[0].queue.clone();
+        let queued = left.len() as u64;
+        while let Some((_, wait)) = left.pop_wait(t_end) {
+            waits += wait.expect("every entry is stamped: tracking starts at build");
+        }
+        let q = w.total_queue_stats();
+        assert_eq!(served, q.served, "every served entry has a wait");
+        assert_eq!(served + queued, q.enqueued, "nothing evicted or lost");
+        (depth.1.integral(), waits, served, queued)
+    }
+
+    /// Depth is sampled at slot boundaries, so an entry counts toward the
+    /// integral from the first boundary after it arrives up to and
+    /// including the boundary at which it is served, or up to the end of
+    /// the run. Its share of the integral and its wait therefore differ by
+    /// at most one unit: a served entry's share exceeds its wait by less
+    /// than 1 bu, and a still-queued entry's share falls short of its wait
+    /// by at most 1 bu. Summed over the entries, the gap lies in
+    /// `[-queued, served]` bu.
+    #[test]
+    fn queue_depth_integral_matches_summed_waits() {
+        // Below saturation, then the paper's heaviest load.
+        for ttr in [10.0, 250.0] {
+            let (integral, waits, served, queued) = littles_law_sides(ttr);
+            assert!(served > 0, "TTR {ttr}: the pull queue served entries");
+            let gap = integral - waits;
+            assert!(
+                -(queued as f64) <= gap && gap <= served as f64,
+                "TTR {ttr}: depth integral {integral} vs summed waits {waits} \
+                 ({served} served, {queued} still queued)"
+            );
+        }
     }
 
     #[test]

@@ -115,6 +115,12 @@ impl Timeline {
         out
     }
 
+    /// Time integral of the series: the sum over every credited interval
+    /// of its value times its length (seal it first to include the tail).
+    pub fn integral(&self) -> f64 {
+        self.buckets.iter().map(|b| b.weighted_sum).sum()
+    }
+
     /// The non-empty buckets as `(bucket_start, time_weighted_mean, max)`.
     pub fn points(&self) -> Vec<(f64, f64, f64)> {
         self.buckets
@@ -193,6 +199,16 @@ impl ToJson for Timeline {
 #[expect(clippy::float_cmp, reason = "tests pin exact values")]
 mod tests {
     use super::*;
+
+    #[test]
+    fn integral_survives_downsampling_and_sealing() {
+        let mut tl = Timeline::with_max_buckets(1.0, 2);
+        tl.update(0.0, 2.0);
+        tl.update(3.0, 5.0); // 2.0 held for 3s, then two merges
+        assert_eq!(tl.integral(), 6.0);
+        assert_eq!(tl.sealed(4.5).integral(), 13.5);
+        assert_eq!(tl.integral(), 6.0, "sealing leaves the original alone");
+    }
 
     #[test]
     fn single_bucket_mean_is_time_weighted() {

@@ -2,7 +2,7 @@
 
 use bpp_broadcast::PageId;
 use bpp_json::Json;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// What happened to a submitted request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -107,18 +107,26 @@ impl QueueStats {
 }
 
 /// Bounded queue of distinct page requests.
+///
+/// Per-page state lives in vectors indexed by [`PageId::index`], since
+/// page ids are dense (`0..ServerDBSize`): submit, coalesce and pop touch
+/// one slot each and never hash. The vectors grow on demand at submit, so
+/// memory is O(largest page id seen), not O(capacity).
 #[derive(Debug, Clone)]
 pub struct RequestQueue {
     capacity: usize,
     discipline: Discipline,
     overflow: OverflowPolicy,
     order: VecDeque<PageId>,
-    /// page -> number of coalesced requests waiting on it (>= 1).
-    pending: HashMap<PageId, u32>,
-    /// page -> submission time of the entry, kept only when wait tracking
-    /// is on. Pure keyed storage — never iterated — so hash order cannot
-    /// leak into behavior.
-    enqueue_at: Option<HashMap<PageId, f64>>,
+    /// `pending[p]`: coalesced requests waiting on page `p`; 0 means `p`
+    /// is not queued.
+    pending: Vec<u32>,
+    /// `enqueue_at[p]`: submission time of `p`'s entry, kept only when
+    /// wait tracking is on; NaN when the entry has no timestamp. Same
+    /// length as `pending`.
+    enqueue_at: Option<Vec<f64>>,
+    /// Individual requests waiting, riders included: the sum of `pending`.
+    waiting: u64,
     stats: QueueStats,
 }
 
@@ -135,17 +143,19 @@ impl RequestQueue {
             discipline,
             overflow: OverflowPolicy::DropNewest,
             order: VecDeque::new(),
-            pending: HashMap::new(),
+            pending: Vec::new(),
             enqueue_at: None,
+            waiting: 0,
             stats: QueueStats::default(),
         }
     }
 
     /// Start remembering when each entry was enqueued so that
     /// [`RequestQueue::pop_wait`] can report queueing delays. Off by
-    /// default: the untracked queue does zero extra work.
+    /// default: the untracked queue does zero extra work. Entries already
+    /// queued have no timestamp.
     pub fn track_waits(&mut self) {
-        self.enqueue_at = Some(HashMap::new());
+        self.enqueue_at = Some(vec![f64::NAN; self.pending.len()]);
     }
 
     /// Change what happens when a new page arrives at a full queue.
@@ -158,11 +168,33 @@ impl RequestQueue {
         self.overflow
     }
 
-    /// Submit a pull request for `page`.
+    /// Submit a pull request for `page`. With wait tracking on, a new entry
+    /// made here has no timestamp (see [`RequestQueue::submit_at`]).
     pub fn submit(&mut self, page: PageId) -> SubmitOutcome {
+        self.enqueue(page, f64::NAN)
+    }
+
+    /// Submit a pull request for `page` at simulated time `now`, recording
+    /// the enqueue time when wait tracking is on (see
+    /// [`RequestQueue::track_waits`]). Identical to [`RequestQueue::submit`]
+    /// when tracking is off.
+    pub fn submit_at(&mut self, page: PageId, now: f64) -> SubmitOutcome {
+        self.enqueue(page, now)
+    }
+
+    /// Shared body of the two submits; `at` is NaN for "no timestamp".
+    fn enqueue(&mut self, page: PageId, at: f64) -> SubmitOutcome {
         self.stats.received += 1;
-        if let Some(count) = self.pending.get_mut(&page) {
-            *count += 1;
+        let i = page.index();
+        if i >= self.pending.len() {
+            self.pending.resize(i + 1, 0);
+            if let Some(stamps) = &mut self.enqueue_at {
+                stamps.resize(i + 1, f64::NAN);
+            }
+        }
+        if self.pending[i] > 0 {
+            self.pending[i] += 1;
+            self.waiting += 1;
             self.stats.coalesced += 1;
             return SubmitOutcome::Coalesced;
         }
@@ -171,10 +203,8 @@ impl RequestQueue {
                 OverflowPolicy::DropOldest if !self.order.is_empty() => {
                     #[expect(clippy::expect_used, reason = "a full queue has a front")]
                     let old = self.order.pop_front().expect("non-empty");
-                    let riders = self.pending.remove(&old).unwrap_or(0);
-                    if let Some(at) = &mut self.enqueue_at {
-                        at.remove(&old);
-                    }
+                    let riders = std::mem::take(&mut self.pending[old.index()]);
+                    self.waiting -= u64::from(riders);
                     self.stats.dropped_evicted += 1;
                     self.stats.evicted_requests += u64::from(riders);
                 }
@@ -184,36 +214,30 @@ impl RequestQueue {
                 }
             }
         }
-        self.pending.insert(page, 1);
+        self.pending[i] = 1;
+        self.waiting += 1;
+        // Every new entry overwrites its slot, so a stamp left by an
+        // earlier entry for the page is never read.
+        if let Some(stamps) = &mut self.enqueue_at {
+            stamps[i] = at;
+        }
         self.order.push_back(page);
         self.stats.enqueued += 1;
         SubmitOutcome::Enqueued
     }
 
-    /// Submit a pull request for `page` at simulated time `now`, recording
-    /// the enqueue time when wait tracking is on (see
-    /// [`RequestQueue::track_waits`]). Identical to [`RequestQueue::submit`]
-    /// when tracking is off.
-    pub fn submit_at(&mut self, page: PageId, now: f64) -> SubmitOutcome {
-        let outcome = self.submit(page);
-        if outcome == SubmitOutcome::Enqueued {
-            if let Some(at) = &mut self.enqueue_at {
-                at.insert(page, now);
-            }
-        }
-        outcome
-    }
-
     /// Serve the next entry like [`RequestQueue::pop`], additionally
     /// reporting how long it waited in the queue (`now` minus its enqueue
-    /// time). The wait is `None` when tracking is off or the entry predates
-    /// [`RequestQueue::track_waits`].
+    /// time). The wait is `None` when tracking is off, or when the entry
+    /// has no timestamp: it predates [`RequestQueue::track_waits`] or came
+    /// from a plain [`RequestQueue::submit`].
     pub fn pop_wait(&mut self, now: f64) -> Option<(PageId, Option<f64>)> {
         let page = self.pop()?;
         let wait = self
             .enqueue_at
-            .as_mut()
-            .and_then(|at| at.remove(&page))
+            .as_ref()
+            .and_then(|stamps| stamps.get(page.index()))
+            .filter(|t0| !t0.is_nan())
             .map(|t0| now - t0);
         Some((page, wait))
     }
@@ -232,11 +256,12 @@ impl RequestQueue {
                     .order
                     .iter()
                     .enumerate()
-                    .max_by_key(|&(i, p)| (self.pending[p], std::cmp::Reverse(i)))?;
+                    .max_by_key(|&(i, p)| (self.pending[p.index()], std::cmp::Reverse(i)))?;
                 self.order.remove(idx).expect("index valid")
             }
         };
-        let riders = self.pending.remove(&page).unwrap_or(0);
+        let riders = std::mem::take(&mut self.pending[page.index()]);
+        self.waiting -= u64::from(riders);
         self.stats.served += 1;
         self.stats.served_requests += u64::from(riders);
         Some(page)
@@ -245,7 +270,7 @@ impl RequestQueue {
     /// Individual requests currently waiting, coalesced riders included
     /// (the `in_flight` term of the conservation ledger).
     pub fn pending_requests(&self) -> u64 {
-        self.order.iter().map(|p| u64::from(self.pending[p])).sum()
+        self.waiting
     }
 
     /// Server crash: volatile state is lost. Discards every queued entry
@@ -253,7 +278,6 @@ impl RequestQueue {
     /// included). The statistics survive — they are the *run's* ledger,
     /// not server memory.
     pub fn crash_drain(&mut self) -> u64 {
-        let orphaned = self.pending_requests();
         // No `..`: a new field does not compile until it is wiped here or
         // kept on purpose (`field: _`).
         let Self {
@@ -264,26 +288,27 @@ impl RequestQueue {
             order,
             pending,
             enqueue_at,
+            waiting,
             // Cumulative run accounting: the conservation ledger needs it
             // across crashes.
             stats: _,
         } = self;
         order.clear();
-        pending.clear();
-        if let Some(at) = enqueue_at {
-            at.clear();
+        pending.fill(0);
+        if let Some(stamps) = enqueue_at {
+            stamps.fill(f64::NAN);
         }
-        orphaned
+        std::mem::take(waiting)
     }
 
     /// True when a request for `page` is pending.
     pub fn is_pending(&self, page: PageId) -> bool {
-        self.pending.contains_key(&page)
+        self.waiters(page) > 0
     }
 
     /// Number of coalesced requests waiting on `page` (0 if none).
     pub fn waiters(&self, page: PageId) -> u32 {
-        self.pending.get(&page).copied().unwrap_or(0)
+        self.pending.get(page.index()).copied().unwrap_or(0)
     }
 
     /// Distinct pages currently queued.
@@ -516,6 +541,47 @@ mod tests {
         assert_eq!(q.stats().received, 3);
         assert_eq!(q.submit_at(p(1), 3.0), SubmitOutcome::Enqueued);
         assert_eq!(q.pop_wait(5.0), Some((p(1), Some(2.0))));
+    }
+
+    #[test]
+    fn entry_queued_before_tracking_has_no_wait() {
+        let mut q = RequestQueue::new(5);
+        q.submit_at(p(1), 0.0);
+        q.track_waits();
+        q.submit_at(p(2), 1.0);
+        assert_eq!(q.pop_wait(4.0), Some((p(1), None)));
+        assert_eq!(q.pop_wait(4.0), Some((p(2), Some(3.0))));
+    }
+
+    #[test]
+    fn plain_submit_while_tracking_has_no_wait() {
+        let mut q = RequestQueue::new(5);
+        q.track_waits();
+        q.submit(p(1));
+        assert_eq!(q.pop_wait(4.0), Some((p(1), None)));
+        // A stamp left behind by an earlier entry for the page (served by
+        // a plain `pop`) is not picked up by a later plain submit.
+        q.submit_at(p(2), 1.0);
+        assert_eq!(q.pop(), Some(p(2)));
+        q.submit(p(2));
+        assert_eq!(q.pop_wait(6.0), Some((p(2), None)));
+    }
+
+    #[test]
+    fn crash_drain_leaves_no_waiters() {
+        let mut q = RequestQueue::new(5);
+        q.set_overflow(OverflowPolicy::DropOldest);
+        for i in [4, 4, 9, 0, 9, 9] {
+            q.submit(p(i));
+        }
+        assert_eq!(q.pending_requests(), 6);
+        assert_eq!(q.crash_drain(), 6);
+        assert_eq!(q.pending_requests(), 0);
+        for i in 0..12 {
+            assert_eq!(q.waiters(p(i)), 0);
+            assert!(!q.is_pending(p(i)));
+        }
+        assert_eq!(q.crash_drain(), 0);
     }
 
     #[test]

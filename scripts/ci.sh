@@ -26,6 +26,10 @@ cargo test -q --frozen -p bpp-core --test faults
 # so the build of the wheel that the simulator ships is compared as well.
 cargo test -q --frozen -p bpp-sim --test differential
 cargo test --release -q --frozen -p bpp-sim --test differential
+# The same for the dense pull queue against its BTreeMap reference model:
+# the request path of every pull-based run rests on it.
+cargo test -q --frozen -p bpp-server --test queue_reference
+cargo test --release -q --frozen -p bpp-server --test queue_reference
 # And the two suites that audit request conservation at runtime (the
 # config fuzz and the chaos harness check the ConservationLedger on every
 # run); no static rule backs them, so a filtered run must not skip them.
@@ -83,8 +87,8 @@ cargo fmt --check
 # Single-channel regression: fixed-seed cells of the branches the other
 # goldens leave unpinned (adaptive controller with and without crashes,
 # saturation degrade, most-requested-first, updates with prefetch,
-# Pure-Pull, a chopped program, Figure-4 warm-up worlds) must reproduce
-# the committed JSON bit for bit.
+# Pure-Pull, a chopped program, Figure-4 warm-up worlds, the LRU and LFU
+# caches under Pure-Push) must reproduce the committed JSON bit for bit.
 ./target/release/ablations --smoke | cmp - results/k1_parity_smoke.json \
     || { echo "ci: K=1 parity report diverged from results/k1_parity_smoke.json" >&2; exit 1; }
 
