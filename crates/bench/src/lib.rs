@@ -220,7 +220,8 @@ pub fn emit(fig: &Figure, opts: &Opts) {
 mod tests {
     use super::*;
     use bpp_core::experiments::Series;
-    use bpp_core::runner::{SlotKinds, SteadyStateResult};
+    use bpp_core::runner::SteadyStateResult;
+    use bpp_core::SlotAccounting;
 
     fn dummy_result(drop: f64) -> SteadyStateResult {
         SteadyStateResult {
@@ -236,7 +237,7 @@ mod tests {
             p90_response: Some(2.0),
             p99_response: Some(3.0),
             max_response: 4.0,
-            slots: SlotKinds {
+            slots: SlotAccounting {
                 push_pages: 1,
                 pull_pages: 1,
                 empty: 0,

@@ -8,14 +8,6 @@
 
 use crate::{BroadcastProgram, PageId};
 
-/// Per-page expected push delays (in slots, inclusive of the delivery
-/// slot). `None` entries are pull-only pages.
-pub fn expected_delay_by_page(program: &BroadcastProgram) -> Vec<Option<f64>> {
-    (0..program.db_size())
-        .map(|i| program.expected_slots(PageId(i as u32)))
-        .collect()
-}
-
 /// Aggregate analysis of a program against an access pattern.
 #[derive(Debug, Clone)]
 pub struct ProgramAnalysis {
@@ -112,15 +104,5 @@ mod tests {
         let probs = [0.4, 0.3, 0.2, 0.1];
         let r = analyse(&p, &probs, &[]);
         assert!((r.unserved_mass - 0.1).abs() < 1e-12);
-    }
-
-    #[test]
-    fn delays_vector_shape() {
-        let spec = DiskSpec::paper_default();
-        let a = Assignment::with_offset(&identity_ranking(1000), &spec, 100);
-        let p = BroadcastProgram::generate(&a, 1000);
-        let d = expected_delay_by_page(&p);
-        assert_eq!(d.len(), 1000);
-        assert!(d.iter().all(|x| x.is_some()));
     }
 }

@@ -36,7 +36,7 @@ pub mod indexing;
 pub mod multichannel;
 pub mod program;
 
-pub use analysis::{expected_delay_by_page, ProgramAnalysis};
+pub use analysis::ProgramAnalysis;
 pub use assignment::{Assignment, DiskSpec};
 pub use design::{design_disks, square_root_frequencies, DiskDesign};
 pub use indexing::{optimal_m, IndexedProgram, IndexedSlot};

@@ -84,8 +84,8 @@ impl RetryPolicy {
     }
 
     /// Check the parameters, returning a human-readable description of the
-    /// first problem found (the core config layer folds this into its own
-    /// error enum).
+    /// first problem found (the core config layer lists it unchanged among
+    /// its violations).
     pub fn validate(&self) -> Result<(), String> {
         let RetryPolicy {
             max_retries,

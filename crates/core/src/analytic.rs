@@ -17,14 +17,23 @@
 
 use crate::config::{Algorithm, CachePolicy, SystemConfig};
 use bpp_broadcast::{
-    analysis::analyse, assignment::identity_ranking, Assignment, BroadcastProgram, DiskSpec, PageId,
+    analysis::analyse, assignment::identity_ranking, hot_access_sets, Assignment, BroadcastProgram,
+    DiskSpec, MultiChannelProgram, PageId,
 };
 use bpp_cache::StaticScoreCache;
 use bpp_workload::Zipf;
 
-/// Build the broadcast program exactly as the simulator does (offset, chop).
-pub fn build_program(cfg: &SystemConfig) -> BroadcastProgram {
+/// The ranked page-to-disk assignment the server broadcasts for `cfg`:
+/// the identity ranking on the configured disks, shifted by the Offset
+/// transform and chopped. Pure-Pull broadcasts nothing, so every page is
+/// chopped off one flat disk.
+pub fn build_assignment(cfg: &SystemConfig) -> Assignment {
     let ranking = identity_ranking(cfg.db_size);
+    if cfg.algorithm == Algorithm::PurePull {
+        let mut a = Assignment::from_ranking(&ranking, &DiskSpec::flat(cfg.db_size));
+        a.chop(cfg.db_size);
+        return a;
+    }
     let spec = DiskSpec::new(cfg.disk_sizes.clone(), cfg.rel_freqs.clone());
     let mut a = if cfg.offset {
         Assignment::with_offset(&ranking, &spec, cfg.cache_size)
@@ -32,7 +41,32 @@ pub fn build_program(cfg: &SystemConfig) -> BroadcastProgram {
         Assignment::from_ranking(&ranking, &spec)
     };
     a.chop(cfg.chop);
-    BroadcastProgram::generate(&a, cfg.db_size)
+    a
+}
+
+/// The single-channel broadcast program the simulator airs for `cfg`
+/// (empty for Pure-Pull).
+pub fn build_program(cfg: &SystemConfig) -> BroadcastProgram {
+    BroadcastProgram::generate(&build_assignment(cfg), cfg.db_size)
+}
+
+/// The channels the simulator airs for `cfg`: `program` itself when
+/// `num_channels` is 1. With K > 1, `assignment` (which generated
+/// `program`) is partitioned across K lock-step channels so that every hot
+/// access set (the hottest uncached broadcast pages under `probs`, against
+/// the ideal cache) sits on one channel, which is what verify rule V6
+/// checks.
+pub fn build_channels(
+    cfg: &SystemConfig,
+    assignment: &Assignment,
+    program: BroadcastProgram,
+    probs: &[f64],
+) -> MultiChannelProgram {
+    if cfg.num_channels == 1 {
+        return MultiChannelProgram::single(program);
+    }
+    let sets = hot_access_sets(&program, probs, &ideal_cache(cfg, &program));
+    MultiChannelProgram::generate(assignment, cfg.db_size, cfg.num_channels, &sets)
 }
 
 /// Ideal steady-state cache contents for `cfg` against `program` under the
@@ -58,7 +92,8 @@ pub fn ideal_cache(cfg: &SystemConfig, program: &BroadcastProgram) -> Vec<PageId
 
 /// Expected Pure-Push steady-state response time (broadcast units) for a
 /// Noise-0 client with an ideally warmed cache. Cache hits count as zero,
-/// exactly like the simulator's metric.
+/// exactly like the simulator's metric; so do chopped pages, which the push
+/// model cannot serve (every page under Pure-Pull, whose program is empty).
 pub fn push_response(cfg: &SystemConfig) -> f64 {
     let program = build_program(cfg);
     let zipf = Zipf::new(cfg.db_size, cfg.zipf_theta);

@@ -370,219 +370,21 @@ impl ToJson for FaultConfig {
     }
 }
 
-/// One violated constraint in a [`SystemConfig`].
+/// Every constraint a [`SystemConfig`] violated, one message each, in the
+/// order [`SystemConfig::validate`] checks them.
 ///
-/// [`SystemConfig::validate`] reports *every* violation at once (as a
-/// [`ConfigErrors`]) rather than panicking at the first, so a sweep driver
-/// or config-file user sees the complete damage in one pass.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ConfigError {
-    /// `db_size` is zero.
-    EmptyDatabase,
-    /// `disk_sizes` is empty — the broadcast program needs at least one
-    /// disk.
-    NoDisks,
-    /// The disk sizes do not sum to the database size.
-    DiskSizeSum {
-        /// The configured per-disk page counts.
-        disk_sizes: Vec<usize>,
-        /// The configured database size they should sum to.
-        db_size: usize,
-    },
-    /// `disk_sizes` and `rel_freqs` have different lengths.
-    DiskFreqArity {
-        /// Number of disks.
-        disks: usize,
-        /// Number of relative frequencies.
-        freqs: usize,
-    },
-    /// The client cache is larger than the database.
-    CacheTooLarge {
-        /// The configured cache size.
-        cache_size: usize,
-        /// The database size it must not exceed.
-        db_size: usize,
-    },
-    /// `mc_think_time` is not finite and strictly positive.
-    NonPositiveThinkTime(
-        /// The offending value.
-        f64,
-    ),
-    /// `think_time_ratio` is not finite and strictly positive.
-    NonPositiveThinkTimeRatio(
-        /// The offending value.
-        f64,
-    ),
-    /// `zipf_theta` is negative or non-finite (θ = 0 is uniform access,
-    /// valid; a negative skew inverts the popularity order).
-    InvalidZipfTheta(
-        /// The offending value.
-        f64,
-    ),
-    /// `server_queue_size` is zero — the backchannel needs somewhere to
-    /// queue at least one request (Pure-Push simply never enqueues).
-    EmptyQueue,
-    /// `num_channels` is zero — the broadcast needs at least one channel
-    /// (`1` is the paper's single-channel system).
-    NoChannels,
-    /// `update_rate` is negative or non-finite.
-    InvalidUpdateRate(
-        /// The offending value.
-        f64,
-    ),
-    /// A fractional parameter fell outside `[0, 1]`.
-    FractionOutOfRange {
-        /// Which config field.
-        field: &'static str,
-        /// The offending value.
-        value: f64,
-    },
-    /// `chop` exceeds the database size.
-    ChopTooLarge {
-        /// The configured chop count.
-        chop: usize,
-        /// The database size it must not exceed.
-        db_size: usize,
-    },
-    /// The Offset transform requires the cache to fit in the slowest disk.
-    OffsetCacheTooLarge {
-        /// The configured cache size.
-        cache_size: usize,
-        /// The slowest disk's page count.
-        slowest: usize,
-    },
-    /// A brownout window parameter is negative or non-finite.
-    InvalidBrownout {
-        /// Which brownout field.
-        field: &'static str,
-        /// The offending value.
-        value: f64,
-    },
-    /// `brownout_duration` exceeds `brownout_period`.
-    BrownoutDurationExceedsPeriod {
-        /// The configured window length.
-        duration: f64,
-        /// The cycle it must fit inside.
-        period: f64,
-    },
-    /// The retry policy is malformed (message from
-    /// `RetryPolicy::validate`).
-    InvalidRetry(
-        /// The underlying description.
-        String,
-    ),
-    /// The degradation policy is malformed (message from
-    /// `SaturationPolicy::validate`).
-    InvalidDegrade(
-        /// The underlying description.
-        String,
-    ),
-    /// The observability configuration is malformed (message from
-    /// `ObsConfig::validate`).
-    InvalidObs(
-        /// The underlying description.
-        String,
-    ),
-    /// The client population is malformed (message from
-    /// `ClientPopulation::validate`).
-    InvalidPopulation(
-        /// The underlying description.
-        String,
-    ),
-    /// The crash model is malformed (message from `CrashConfig::validate`).
-    InvalidCrash(
-        /// The underlying description.
-        String,
-    ),
-    /// The admission layer is malformed (message from
-    /// `AdmissionConfig::validate`).
-    InvalidAdmission(
-        /// The underlying description.
-        String,
-    ),
-}
-
-impl std::fmt::Display for ConfigError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ConfigError::EmptyDatabase => write!(f, "db_size must be positive"),
-            ConfigError::NoDisks => write!(f, "at least one broadcast disk is required"),
-            ConfigError::DiskSizeSum {
-                disk_sizes,
-                db_size,
-            } => write!(f, "disk sizes {disk_sizes:?} must sum to db_size {db_size}"),
-            ConfigError::DiskFreqArity { disks, freqs } => write!(
-                f,
-                "one frequency per disk ({disks} disks, {freqs} frequencies)"
-            ),
-            ConfigError::CacheTooLarge {
-                cache_size,
-                db_size,
-            } => write!(f, "cache larger than database ({cache_size} > {db_size})"),
-            ConfigError::NonPositiveThinkTime(v) => {
-                write!(f, "think time must be finite and positive, got {v}")
-            }
-            ConfigError::NonPositiveThinkTimeRatio(v) => {
-                write!(f, "ThinkTimeRatio must be finite and positive, got {v}")
-            }
-            ConfigError::InvalidZipfTheta(v) => {
-                write!(f, "zipf_theta must be finite and >= 0, got {v}")
-            }
-            ConfigError::EmptyQueue => write!(f, "server_queue_size must be positive"),
-            ConfigError::NoChannels => write!(f, "num_channels must be positive"),
-            ConfigError::InvalidUpdateRate(v) => {
-                write!(f, "update_rate must be finite and >= 0, got {v}")
-            }
-            ConfigError::FractionOutOfRange { field, value } => {
-                write!(f, "{field} must be in [0,1], got {value}")
-            }
-            ConfigError::ChopTooLarge { chop, db_size } => {
-                write!(f, "cannot chop more than the database ({chop} > {db_size})")
-            }
-            ConfigError::OffsetCacheTooLarge {
-                cache_size,
-                slowest,
-            } => write!(
-                f,
-                "offset requires cache_size <= slowest disk size ({cache_size} > {slowest})"
-            ),
-            ConfigError::InvalidBrownout { field, value } => {
-                write!(f, "{field} must be finite and >= 0, got {value}")
-            }
-            ConfigError::BrownoutDurationExceedsPeriod { duration, period } => write!(
-                f,
-                "brownout_duration {duration} exceeds brownout_period {period}"
-            ),
-            ConfigError::InvalidRetry(msg)
-            | ConfigError::InvalidDegrade(msg)
-            | ConfigError::InvalidObs(msg)
-            | ConfigError::InvalidPopulation(msg)
-            | ConfigError::InvalidCrash(msg)
-            | ConfigError::InvalidAdmission(msg) => {
-                write!(f, "{msg}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for ConfigError {}
-
-/// Every constraint a [`SystemConfig`] violated, in declaration order.
-#[derive(Debug, Clone, PartialEq)]
+/// `validate` reports *every* violation at once rather than panicking at
+/// the first, so a sweep driver or config-file user sees the complete
+/// damage in one pass.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConfigErrors(
-    /// The individual violations (never empty when returned).
-    pub Vec<ConfigError>,
+    /// The individual violation messages (never empty when returned).
+    pub Vec<String>,
 );
 
 impl std::fmt::Display for ConfigErrors {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        for (i, e) in self.0.iter().enumerate() {
-            if i > 0 {
-                write!(f, "; ")?;
-            }
-            write!(f, "{e}")?;
-        }
-        Ok(())
+        f.write_str(&self.0.join("; "))
     }
 }
 
@@ -861,45 +663,55 @@ impl SystemConfig {
         } = *fault;
         let mut errs = Vec::new();
         if db_size == 0 {
-            errs.push(ConfigError::EmptyDatabase);
+            errs.push("db_size must be positive".to_string());
         }
         if disk_sizes.is_empty() {
-            errs.push(ConfigError::NoDisks);
+            errs.push("at least one broadcast disk is required".to_string());
         } else if disk_sizes.iter().sum::<usize>() != db_size {
-            errs.push(ConfigError::DiskSizeSum {
-                disk_sizes: disk_sizes.clone(),
-                db_size,
-            });
+            errs.push(format!(
+                "disk sizes {disk_sizes:?} must sum to db_size {db_size}"
+            ));
         }
         if disk_sizes.len() != rel_freqs.len() {
-            errs.push(ConfigError::DiskFreqArity {
-                disks: disk_sizes.len(),
-                freqs: rel_freqs.len(),
-            });
+            errs.push(format!(
+                "one frequency per disk ({} disks, {} frequencies)",
+                disk_sizes.len(),
+                rel_freqs.len()
+            ));
         }
         if cache_size > db_size {
-            errs.push(ConfigError::CacheTooLarge {
-                cache_size,
-                db_size,
-            });
+            errs.push(format!(
+                "cache larger than database ({cache_size} > {db_size})"
+            ));
         }
         if !(mc_think_time.is_finite() && mc_think_time > 0.0) {
-            errs.push(ConfigError::NonPositiveThinkTime(mc_think_time));
+            errs.push(format!(
+                "think time must be finite and positive, got {mc_think_time}"
+            ));
         }
         if !(think_time_ratio.is_finite() && think_time_ratio > 0.0) {
-            errs.push(ConfigError::NonPositiveThinkTimeRatio(think_time_ratio));
+            errs.push(format!(
+                "ThinkTimeRatio must be finite and positive, got {think_time_ratio}"
+            ));
         }
         if !(update_rate >= 0.0 && update_rate.is_finite()) {
-            errs.push(ConfigError::InvalidUpdateRate(update_rate));
+            errs.push(format!(
+                "update_rate must be finite and >= 0, got {update_rate}"
+            ));
         }
+        // θ = 0 is uniform access; a negative skew would invert the
+        // popularity order.
         if !(zipf_theta >= 0.0 && zipf_theta.is_finite()) {
-            errs.push(ConfigError::InvalidZipfTheta(zipf_theta));
+            errs.push(format!(
+                "zipf_theta must be finite and >= 0, got {zipf_theta}"
+            ));
         }
+        // Required even under Pure-Push, which simply never enqueues.
         if server_queue_size == 0 {
-            errs.push(ConfigError::EmptyQueue);
+            errs.push("server_queue_size must be positive".to_string());
         }
         if num_channels == 0 {
-            errs.push(ConfigError::NoChannels);
+            errs.push("num_channels must be positive".to_string());
         }
         for (field, value) in [
             ("steady_state_perc", steady_state_perc),
@@ -911,19 +723,20 @@ impl SystemConfig {
             ("fault.request_loss", request_loss),
         ] {
             if !(0.0..=1.0).contains(&value) {
-                errs.push(ConfigError::FractionOutOfRange { field, value });
+                errs.push(format!("{field} must be in [0,1], got {value}"));
             }
         }
         if chop > db_size {
-            errs.push(ConfigError::ChopTooLarge { chop, db_size });
+            errs.push(format!(
+                "cannot chop more than the database ({chop} > {db_size})"
+            ));
         }
         if offset && algorithm != Algorithm::PurePull {
             if let Some(&slowest) = disk_sizes.last() {
                 if cache_size > slowest {
-                    errs.push(ConfigError::OffsetCacheTooLarge {
-                        cache_size,
-                        slowest,
-                    });
+                    errs.push(format!(
+                        "offset requires cache_size <= slowest disk size ({cache_size} > {slowest})"
+                    ));
                 }
             }
         }
@@ -932,33 +745,26 @@ impl SystemConfig {
             ("fault.brownout_duration", brownout_duration),
         ] {
             if !(value.is_finite() && value >= 0.0) {
-                errs.push(ConfigError::InvalidBrownout { field, value });
+                errs.push(format!("{field} must be finite and >= 0, got {value}"));
             }
         }
         if brownout_duration > brownout_period {
-            errs.push(ConfigError::BrownoutDurationExceedsPeriod {
-                duration: brownout_duration,
-                period: brownout_period,
-            });
+            errs.push(format!(
+                "brownout_duration {brownout_duration} exceeds brownout_period {brownout_period}"
+            ));
         }
-        if let Err(msg) = retry.validate() {
-            errs.push(ConfigError::InvalidRetry(msg));
-        }
-        if let Err(msg) = degrade.validate() {
-            errs.push(ConfigError::InvalidDegrade(msg));
-        }
-        if let Err(msg) = obs.validate() {
-            errs.push(ConfigError::InvalidObs(msg));
-        }
-        if let Err(msg) = population.validate() {
-            errs.push(ConfigError::InvalidPopulation(msg));
-        }
-        if let Err(msg) = crash.validate() {
-            errs.push(ConfigError::InvalidCrash(msg));
-        }
-        if let Err(msg) = admission.validate() {
-            errs.push(ConfigError::InvalidAdmission(msg));
-        }
+        errs.extend(
+            [
+                retry.validate(),
+                degrade.validate(),
+                obs.validate(),
+                population.validate(),
+                crash.validate(),
+                admission.validate(),
+            ]
+            .into_iter()
+            .filter_map(Result::err),
+        );
         if errs.is_empty() {
             Ok(())
         } else {
@@ -1170,7 +976,7 @@ impl ToJson for MeasurementProtocol {
 mod tests {
     use super::*;
 
-    fn errors_of(c: &SystemConfig) -> Vec<ConfigError> {
+    fn errors_of(c: &SystemConfig) -> Vec<String> {
         c.validate().unwrap_err().0
     }
 
@@ -1239,8 +1045,8 @@ mod tests {
         c.assert_valid();
     }
 
-    // One test per ConfigError variant: the right variant is reported, with
-    // the offending values attached.
+    // One test per check: the exact messages are reported, with the
+    // offending values printed in them.
 
     #[test]
     fn empty_database_is_reported() {
@@ -1250,9 +1056,13 @@ mod tests {
         c.rel_freqs = vec![];
         c.cache_size = 0;
         c.chop = 0;
-        let errs = errors_of(&c);
-        assert!(errs.contains(&ConfigError::EmptyDatabase));
-        assert!(errs.contains(&ConfigError::NoDisks));
+        assert_eq!(
+            errors_of(&c),
+            [
+                "db_size must be positive",
+                "at least one broadcast disk is required"
+            ]
+        );
     }
 
     #[test]
@@ -1261,10 +1071,7 @@ mod tests {
         c.disk_sizes = vec![10, 40, 40];
         assert_eq!(
             errors_of(&c),
-            vec![ConfigError::DiskSizeSum {
-                disk_sizes: vec![10, 40, 40],
-                db_size: 100
-            }]
+            ["disk sizes [10, 40, 40] must sum to db_size 100"]
         );
     }
 
@@ -1272,9 +1079,15 @@ mod tests {
     fn invalid_zipf_theta_is_reported() {
         let mut c = SystemConfig::small();
         c.zipf_theta = -0.5;
-        assert_eq!(errors_of(&c), vec![ConfigError::InvalidZipfTheta(-0.5)]);
+        assert_eq!(
+            errors_of(&c),
+            ["zipf_theta must be finite and >= 0, got -0.5"]
+        );
         c.zipf_theta = f64::NAN;
-        assert_eq!(errors_of(&c).len(), 1);
+        assert_eq!(
+            errors_of(&c),
+            ["zipf_theta must be finite and >= 0, got NaN"]
+        );
         c.zipf_theta = 0.0; // uniform access is valid
         c.validate().unwrap();
     }
@@ -1283,7 +1096,7 @@ mod tests {
     fn empty_server_queue_is_reported() {
         let mut c = SystemConfig::small();
         c.server_queue_size = 0;
-        assert_eq!(errors_of(&c), vec![ConfigError::EmptyQueue]);
+        assert_eq!(errors_of(&c), ["server_queue_size must be positive"]);
     }
 
     #[test]
@@ -1313,7 +1126,7 @@ mod tests {
         c.rel_freqs = vec![3, 2];
         assert_eq!(
             errors_of(&c),
-            vec![ConfigError::DiskFreqArity { disks: 3, freqs: 2 }]
+            ["one frequency per disk (3 disks, 2 frequencies)"]
         );
     }
 
@@ -1321,30 +1134,30 @@ mod tests {
     fn oversized_cache_is_reported() {
         let mut c = SystemConfig::small();
         c.cache_size = 1000;
-        let errs = errors_of(&c);
-        assert!(errs.contains(&ConfigError::CacheTooLarge {
-            cache_size: 1000,
-            db_size: 100
-        }));
         // The offset cross-check fires too (cache > slowest disk).
-        assert!(errs.contains(&ConfigError::OffsetCacheTooLarge {
-            cache_size: 1000,
-            slowest: 50
-        }));
+        assert_eq!(
+            errors_of(&c),
+            [
+                "cache larger than database (1000 > 100)",
+                "offset requires cache_size <= slowest disk size (1000 > 50)"
+            ]
+        );
     }
 
     #[test]
     fn non_positive_think_time_is_reported() {
         let mut c = SystemConfig::small();
         c.mc_think_time = 0.0;
-        assert_eq!(errors_of(&c), vec![ConfigError::NonPositiveThinkTime(0.0)]);
+        assert_eq!(
+            errors_of(&c),
+            ["think time must be finite and positive, got 0"]
+        );
         // An infinite think time would schedule the first access at t = inf.
         c.mc_think_time = f64::INFINITY;
         assert_eq!(
             errors_of(&c),
-            vec![ConfigError::NonPositiveThinkTime(f64::INFINITY)]
+            ["think time must be finite and positive, got inf"]
         );
-        assert!(errors_of(&c)[0].to_string().contains("finite and positive"));
     }
 
     #[test]
@@ -1353,13 +1166,13 @@ mod tests {
         c.think_time_ratio = -1.0;
         assert_eq!(
             errors_of(&c),
-            vec![ConfigError::NonPositiveThinkTimeRatio(-1.0)]
+            ["ThinkTimeRatio must be finite and positive, got -1"]
         );
         // An infinite ratio would give the Virtual Client a zero mean gap.
         c.think_time_ratio = f64::INFINITY;
         assert_eq!(
             errors_of(&c),
-            vec![ConfigError::NonPositiveThinkTimeRatio(f64::INFINITY)]
+            ["ThinkTimeRatio must be finite and positive, got inf"]
         );
     }
 
@@ -1369,7 +1182,7 @@ mod tests {
         c.update_rate = f64::INFINITY;
         assert_eq!(
             errors_of(&c),
-            vec![ConfigError::InvalidUpdateRate(f64::INFINITY)]
+            ["update_rate must be finite and >= 0, got inf"]
         );
     }
 
@@ -1380,15 +1193,9 @@ mod tests {
         c.noise = -0.25;
         assert_eq!(
             errors_of(&c),
-            vec![
-                ConfigError::FractionOutOfRange {
-                    field: "noise",
-                    value: -0.25
-                },
-                ConfigError::FractionOutOfRange {
-                    field: "pull_bw",
-                    value: 1.5
-                },
+            [
+                "noise must be in [0,1], got -0.25",
+                "pull_bw must be in [0,1], got 1.5"
             ]
         );
     }
@@ -1399,10 +1206,7 @@ mod tests {
         c.chop = 101;
         assert_eq!(
             errors_of(&c),
-            vec![ConfigError::ChopTooLarge {
-                chop: 101,
-                db_size: 100
-            }]
+            ["cannot chop more than the database (101 > 100)"]
         );
     }
 
@@ -1412,10 +1216,7 @@ mod tests {
         c.cache_size = 60; // fits the 100-page database, not the 50-page slowest disk
         assert_eq!(
             errors_of(&c),
-            vec![ConfigError::OffsetCacheTooLarge {
-                cache_size: 60,
-                slowest: 50
-            }]
+            ["offset requires cache_size <= slowest disk size (60 > 50)"]
         );
         // Pure-Pull has no broadcast program, so the constraint vanishes.
         c.algorithm = Algorithm::PurePull;
@@ -1426,11 +1227,13 @@ mod tests {
     fn invalid_brownout_window_is_reported() {
         let mut c = SystemConfig::small();
         c.fault.brownout_period = -5.0;
-        let errs = errors_of(&c);
-        assert!(errs.contains(&ConfigError::InvalidBrownout {
-            field: "fault.brownout_period",
-            value: -5.0
-        }));
+        assert_eq!(
+            errors_of(&c),
+            [
+                "fault.brownout_period must be finite and >= 0, got -5",
+                "brownout_duration 0 exceeds brownout_period -5"
+            ]
+        );
     }
 
     #[test]
@@ -1440,10 +1243,7 @@ mod tests {
         c.fault.brownout_duration = 11.0;
         assert_eq!(
             errors_of(&c),
-            vec![ConfigError::BrownoutDurationExceedsPeriod {
-                duration: 11.0,
-                period: 10.0
-            }]
+            ["brownout_duration 11 exceeds brownout_period 10"]
         );
     }
 
@@ -1454,15 +1254,9 @@ mod tests {
         c.fault.request_loss = -0.5;
         assert_eq!(
             errors_of(&c),
-            vec![
-                ConfigError::FractionOutOfRange {
-                    field: "fault.broadcast_loss",
-                    value: 1.5
-                },
-                ConfigError::FractionOutOfRange {
-                    field: "fault.request_loss",
-                    value: -0.5
-                },
+            [
+                "fault.broadcast_loss must be in [0,1], got 1.5",
+                "fault.request_loss must be in [0,1], got -0.5"
             ]
         );
     }
@@ -1474,9 +1268,10 @@ mod tests {
             backoff_factor: 0.5,
             ..RetryPolicy::standard()
         };
-        let errs = errors_of(&c);
-        assert_eq!(errs.len(), 1);
-        assert!(matches!(&errs[0], ConfigError::InvalidRetry(m) if m.contains("backoff_factor")));
+        assert_eq!(
+            errors_of(&c),
+            ["retry backoff_factor must be finite and >= 1, got 0.5"]
+        );
     }
 
     #[test]
@@ -1487,9 +1282,10 @@ mod tests {
             off_occupancy: 0.9,
             ..SaturationPolicy::standard()
         };
-        let errs = errors_of(&c);
-        assert_eq!(errs.len(), 1);
-        assert!(matches!(&errs[0], ConfigError::InvalidDegrade(m) if m.contains("off_occupancy")));
+        assert_eq!(
+            errors_of(&c),
+            ["saturation off_occupancy must be in [0, on_occupancy), got 0.9 (on = 0.5)"]
+        );
     }
 
     #[test]
@@ -1499,12 +1295,98 @@ mod tests {
         c.mc_think_time = -1.0;
         c.pull_bw = 2.0;
         c.fault.broadcast_loss = 3.0;
-        let errs = errors_of(&c);
-        assert_eq!(errs.len(), 4, "expected every violation listed: {errs:?}");
-        // And the joined message reads like the old panic strings.
-        let msg = c.validate().unwrap_err().to_string();
-        assert!(msg.contains("must sum to db_size"));
-        assert!(msg.contains("; "), "violations joined into one message");
+        assert_eq!(
+            c.validate().unwrap_err().to_string(),
+            concat!(
+                "disk sizes [10, 40, 40] must sum to db_size 100; ",
+                "think time must be finite and positive, got -1; ",
+                "pull_bw must be in [0,1], got 2; ",
+                "fault.broadcast_loss must be in [0,1], got 3"
+            )
+        );
+    }
+
+    #[test]
+    fn every_check_that_can_fail_together_is_pinned() {
+        // Every check fails except "at least one broadcast disk", which
+        // excludes the disk-sum check; the joined text is pinned whole, in
+        // check order.
+        let mut c = SystemConfig::small();
+        c.db_size = 0;
+        c.rel_freqs = vec![3, 2];
+        c.cache_size = 60;
+        c.mc_think_time = f64::NAN;
+        c.think_time_ratio = -1.0;
+        c.update_rate = -0.5;
+        c.zipf_theta = f64::NEG_INFINITY;
+        c.server_queue_size = 0;
+        c.num_channels = 0;
+        c.steady_state_perc = 1.25;
+        c.noise = -0.25;
+        c.pull_bw = 2.0;
+        c.thres_perc = f64::NAN;
+        c.update_access_correlation = 1.5;
+        c.fault.broadcast_loss = 3.0;
+        c.fault.request_loss = -0.5;
+        c.chop = 5;
+        c.fault.brownout_period = -5.0;
+        c.fault.brownout_duration = -1.0;
+        c.fault.retry = RetryPolicy {
+            backoff_factor: 0.5,
+            ..RetryPolicy::standard()
+        };
+        c.fault.degrade = SaturationPolicy {
+            on_occupancy: 0.5,
+            off_occupancy: 0.9,
+            ..SaturationPolicy::standard()
+        };
+        c.obs.timeline_stride = 0.0;
+        c.population = ClientPopulation::fleet(u32::MAX as usize + 1);
+        c.fault.crash = CrashConfig {
+            mtbf: 1000.0,
+            schedule: vec![50.0],
+            downtime: 10.0,
+            ..CrashConfig::none()
+        };
+        c.fault.admission = AdmissionConfig {
+            rate: 1.0,
+            burst: 0.0,
+            retry_after: 8.0,
+        };
+        assert_eq!(errors_of(&c).len(), 28);
+        assert_eq!(
+            c.validate().unwrap_err().to_string(),
+            concat!(
+                "db_size must be positive; ",
+                "disk sizes [10, 40, 50] must sum to db_size 0; ",
+                "one frequency per disk (3 disks, 2 frequencies); ",
+                "cache larger than database (60 > 0); ",
+                "think time must be finite and positive, got NaN; ",
+                "ThinkTimeRatio must be finite and positive, got -1; ",
+                "update_rate must be finite and >= 0, got -0.5; ",
+                "zipf_theta must be finite and >= 0, got -inf; ",
+                "server_queue_size must be positive; ",
+                "num_channels must be positive; ",
+                "steady_state_perc must be in [0,1], got 1.25; ",
+                "noise must be in [0,1], got -0.25; ",
+                "pull_bw must be in [0,1], got 2; ",
+                "thres_perc must be in [0,1], got NaN; ",
+                "update_access_correlation must be in [0,1], got 1.5; ",
+                "fault.broadcast_loss must be in [0,1], got 3; ",
+                "fault.request_loss must be in [0,1], got -0.5; ",
+                "cannot chop more than the database (5 > 0); ",
+                "offset requires cache_size <= slowest disk size (60 > 50); ",
+                "fault.brownout_period must be finite and >= 0, got -5; ",
+                "fault.brownout_duration must be finite and >= 0, got -1; ",
+                "brownout_duration -1 exceeds brownout_period -5; ",
+                "retry backoff_factor must be finite and >= 1, got 0.5; ",
+                "saturation off_occupancy must be in [0, on_occupancy), got 0.9 (on = 0.5); ",
+                "timeline_stride must be finite and positive, got 0; ",
+                "fleet_clients must fit in u32, got 4294967296; ",
+                "crash mtbf and an explicit schedule are mutually exclusive; ",
+                "admission burst must be finite and >= 1 when enabled, got 0"
+            )
+        );
     }
 
     #[test]
@@ -1634,9 +1516,10 @@ mod tests {
     fn invalid_obs_config_is_reported() {
         let mut c = SystemConfig::small();
         c.obs.timeline_stride = -1.0;
-        let errs = errors_of(&c);
-        assert_eq!(errs.len(), 1);
-        assert!(matches!(&errs[0], ConfigError::InvalidObs(m) if m.contains("timeline_stride")));
+        assert_eq!(
+            errors_of(&c),
+            ["timeline_stride must be finite and positive, got -1"]
+        );
     }
 
     #[test]
@@ -1686,19 +1569,16 @@ mod tests {
     fn zero_channels_is_reported() {
         let mut c = SystemConfig::small();
         c.num_channels = 0;
-        let errs = errors_of(&c);
-        assert_eq!(errs, vec![ConfigError::NoChannels]);
-        assert!(errs[0].to_string().contains("num_channels"));
+        assert_eq!(errors_of(&c), ["num_channels must be positive"]);
     }
 
     #[test]
     fn oversized_fleet_is_reported() {
         let mut c = SystemConfig::small();
         c.population = ClientPopulation::fleet(u32::MAX as usize + 1);
-        let errs = errors_of(&c);
-        assert_eq!(errs.len(), 1);
-        assert!(
-            matches!(&errs[0], ConfigError::InvalidPopulation(m) if m.contains("fleet_clients"))
+        assert_eq!(
+            errors_of(&c),
+            ["fleet_clients must fit in u32, got 4294967296"]
         );
     }
 
@@ -1797,9 +1677,9 @@ mod tests {
             downtime: 10.0,
             ..CrashConfig::none()
         };
-        let errs = errors_of(&c);
-        assert!(
-            matches!(&errs[0], ConfigError::InvalidCrash(m) if m.contains("mutually exclusive"))
+        assert_eq!(
+            errors_of(&c),
+            ["crash mtbf and an explicit schedule are mutually exclusive"]
         );
         // Crashes without downtime make no sense.
         c.fault.crash = CrashConfig {
@@ -1807,17 +1687,19 @@ mod tests {
             downtime: 0.0,
             ..CrashConfig::none()
         };
-        let errs = errors_of(&c);
-        assert!(matches!(&errs[0], ConfigError::InvalidCrash(m) if m.contains("downtime")));
+        assert_eq!(
+            errors_of(&c),
+            ["crash downtime must be finite and positive when crashes are configured, got 0"]
+        );
         // Schedules must be strictly increasing.
         c.fault.crash = CrashConfig {
             schedule: vec![100.0, 100.0],
             downtime: 10.0,
             ..CrashConfig::none()
         };
-        let errs = errors_of(&c);
-        assert!(
-            matches!(&errs[0], ConfigError::InvalidCrash(m) if m.contains("strictly increasing"))
+        assert_eq!(
+            errors_of(&c),
+            ["crash schedule must be strictly increasing, got 100 then 100"]
         );
         // Jitter is a fraction.
         c.fault.crash = CrashConfig {
@@ -1826,8 +1708,10 @@ mod tests {
             reconnect_jitter: 1.5,
             ..CrashConfig::none()
         };
-        let errs = errors_of(&c);
-        assert!(matches!(&errs[0], ConfigError::InvalidCrash(m) if m.contains("reconnect_jitter")));
+        assert_eq!(
+            errors_of(&c),
+            ["crash reconnect_jitter must be in [0,1], got 1.5"]
+        );
     }
 
     #[test]
@@ -1838,8 +1722,10 @@ mod tests {
             burst: 0.0,
             retry_after: 8.0,
         };
-        let errs = errors_of(&c);
-        assert!(matches!(&errs[0], ConfigError::InvalidAdmission(m) if m.contains("burst")));
+        assert_eq!(
+            errors_of(&c),
+            ["admission burst must be finite and >= 1 when enabled, got 0"]
+        );
     }
 
     /// DESIGN.md's config table documents every key a config can emit:

@@ -51,7 +51,7 @@ pub mod simulation;
 
 pub use chaos::{run_chaos, ChaosResult, FaultPhase, FaultSchedule};
 pub use config::{
-    Algorithm, CachePolicy, ClientPopulation, ConfigError, ConfigErrors, CrashConfig, FaultConfig,
+    Algorithm, CachePolicy, ClientPopulation, ConfigErrors, CrashConfig, FaultConfig,
     MeasurementProtocol, QueueDiscipline, SystemConfig,
 };
 pub use fault::{ConservationLedger, CrashReport, FaultCounters, FaultLayer, FaultReport};

@@ -39,7 +39,7 @@ pub struct SteadyStateResult {
     /// major cycle (the "safety net"); under Pure-Pull it is not.
     pub max_response: f64,
     /// Slot accounting over the whole run.
-    pub slots: SlotKinds,
+    pub slots: SlotAccounting,
     /// Total simulated time in broadcast units.
     pub sim_time: f64,
     /// What the fault model did to this run; `None` when fault injection is
@@ -151,8 +151,7 @@ impl SteadyStateResult {
             .as_ref()
             .and_then(|f| f.crash.as_ref())
             .map_or(0, |c| c.down_slots);
-        let s = &self.slots;
-        let total = s.push_pages + s.pull_pages + s.empty + s.idle + k * down_slots;
+        let total = self.slots.total() + k * down_slots;
         (total as f64 - k as f64 * self.sim_time).abs() <= k as f64
     }
 
@@ -173,12 +172,7 @@ impl SteadyStateResult {
             p90_response: None,
             p99_response: None,
             max_response: f64::NAN,
-            slots: SlotKinds {
-                push_pages: 0,
-                pull_pages: 0,
-                empty: 0,
-                idle: 0,
-            },
+            slots: SlotAccounting::default(),
             sim_time: 0.0,
             fault: None,
             obs: None,
@@ -189,41 +183,6 @@ impl SteadyStateResult {
                 config: cfg.clone(),
             }),
         }
-    }
-}
-
-/// Serializable mirror of [`SlotAccounting`].
-#[derive(Debug, Clone, Copy)]
-pub struct SlotKinds {
-    /// Push slots carrying a page.
-    pub push_pages: u64,
-    /// Pull slots.
-    pub pull_pages: u64,
-    /// Padding slots.
-    pub empty: u64,
-    /// Idle slots.
-    pub idle: u64,
-}
-
-impl From<SlotAccounting> for SlotKinds {
-    fn from(s: SlotAccounting) -> Self {
-        SlotKinds {
-            push_pages: s.push_pages,
-            pull_pages: s.pull_pages,
-            empty: s.empty,
-            idle: s.idle,
-        }
-    }
-}
-
-impl ToJson for SlotKinds {
-    fn to_json(&self) -> Json {
-        Json::object([
-            ("push_pages", self.push_pages.to_json()),
-            ("pull_pages", self.pull_pages.to_json()),
-            ("empty", self.empty.to_json()),
-            ("idle", self.idle.to_json()),
-        ])
     }
 }
 
@@ -319,7 +278,7 @@ pub(crate) fn collect_steady_state(
         } else {
             0.0
         },
-        slots: (*w.slots()).into(),
+        slots: *w.slots(),
         sim_time,
         fault: w.fault_report(),
         obs: w.obs_report(engine_obs, sim_time),

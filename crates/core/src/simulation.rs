@@ -41,15 +41,13 @@ use crate::config::{
 };
 use crate::fault::{ConservationLedger, CrashReport, FaultLayer, FaultReport};
 use crate::obs::ObsState;
-use bpp_broadcast::{
-    assignment::identity_ranking, hot_access_sets, Assignment, BroadcastProgram, DiskSpec,
-    MultiChannelProgram, PageId, Slot,
-};
+use bpp_broadcast::{BroadcastProgram, MultiChannelProgram, PageId, Slot};
 use bpp_cache::{LfuCache, LruCache, ReplacementPolicy, StaticScoreCache};
 use bpp_client::{
     route, BeginOutcome, ClientArena, MeasuredClient, RetryPolicy, RetryState, ThresholdFilter,
     VcAccess, VirtualClient, WakeOutcome, WarmupTracker,
 };
+use bpp_json::{Json, ToJson};
 use bpp_obs::{EngineObs, ObsReport};
 use bpp_server::{
     Admission, BandwidthMux, Discipline, QueueStats, RequestQueue, SaturationDetector,
@@ -119,6 +117,23 @@ impl SlotAccounting {
         } else {
             self.pull_pages as f64 / t as f64
         }
+    }
+}
+
+impl ToJson for SlotAccounting {
+    fn to_json(&self) -> Json {
+        let SlotAccounting {
+            push_pages,
+            pull_pages,
+            empty,
+            idle,
+        } = self;
+        Json::object([
+            ("push_pages", push_pages.to_json()),
+            ("pull_pages", pull_pages.to_json()),
+            ("empty", empty.to_json()),
+            ("idle", idle.to_json()),
+        ])
     }
 }
 
@@ -439,22 +454,7 @@ impl World {
         // pattern; Pure-Pull broadcasts nothing). The ranked assignment is
         // kept because the K-channel generator partitions it; the
         // single-program frequencies stay the PIX denominator for every K. ---
-        let ranking = identity_ranking(cfg.db_size);
-        let assignment = if cfg.algorithm == Algorithm::PurePull {
-            let spec = DiskSpec::flat(cfg.db_size);
-            let mut a = Assignment::from_ranking(&ranking, &spec);
-            a.chop(cfg.db_size);
-            a
-        } else {
-            let spec = DiskSpec::new(cfg.disk_sizes.clone(), cfg.rel_freqs.clone());
-            let mut a = if cfg.offset {
-                Assignment::with_offset(&ranking, &spec, cfg.cache_size)
-            } else {
-                Assignment::from_ranking(&ranking, &spec)
-            };
-            a.chop(cfg.chop);
-            a
-        };
+        let assignment = crate::analytic::build_assignment(cfg);
         let program = BroadcastProgram::generate(&assignment, cfg.db_size);
 
         // --- Access patterns. ---
@@ -572,20 +572,9 @@ impl World {
         };
 
         // --- Channels: the paper's single program is the one-channel
-        // case. With K > 1 the ranked assignment is partitioned across K
-        // lock-step channels, and the generator confines every hot access
-        // set to one channel, so the placement passes verify rule V6 by
-        // construction; the access sets are derived exactly as bpp-verify
-        // derives them (hottest uncached broadcast pages against the ideal
-        // cache), so the simulated placement is the verified placement. ---
+        // case; with K > 1 the placement is the one bpp-verify checks. ---
         let k = cfg.num_channels;
-        let channels = if k == 1 {
-            MultiChannelProgram::single(program)
-        } else {
-            let cached = crate::analytic::ideal_cache(cfg, &program);
-            let sets = hot_access_sets(&program, zipf.probs(), &cached);
-            MultiChannelProgram::generate(&assignment, cfg.db_size, k, &sets)
-        };
+        let channels = crate::analytic::build_channels(cfg, &assignment, program, zipf.probs());
         let filters = (0..k)
             .map(|ch| {
                 let cycle = channels.channel(ch).major_cycle();
@@ -792,19 +781,9 @@ impl World {
 
     /// Whole-run queue statistics, summed over every pull shard.
     pub fn total_queue_stats(&self) -> QueueStats {
-        let mut total = QueueStats::default();
-        for s in &self.shards {
-            let q = s.queue.stats();
-            total.received += q.received;
-            total.enqueued += q.enqueued;
-            total.coalesced += q.coalesced;
-            total.dropped_full += q.dropped_full;
-            total.dropped_evicted += q.dropped_evicted;
-            total.served += q.served;
-            total.served_requests += q.served_requests;
-            total.evicted_requests += q.evicted_requests;
-        }
-        total
+        self.shards
+            .iter()
+            .fold(QueueStats::default(), |total, s| total + *s.queue.stats())
     }
 
     /// Per-run saturation-detector totals, summed over every shard:
@@ -829,16 +808,7 @@ impl World {
         let total = self.total_queue_stats();
         match self.queue_stats_at_measure {
             None => total,
-            Some(at) => QueueStats {
-                received: total.received - at.received,
-                enqueued: total.enqueued - at.enqueued,
-                coalesced: total.coalesced - at.coalesced,
-                dropped_full: total.dropped_full - at.dropped_full,
-                dropped_evicted: total.dropped_evicted - at.dropped_evicted,
-                served: total.served - at.served,
-                served_requests: total.served_requests - at.served_requests,
-                evicted_requests: total.evicted_requests - at.evicted_requests,
-            },
+            Some(at) => total - at,
         }
     }
 

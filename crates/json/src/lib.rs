@@ -119,14 +119,6 @@ impl Json {
         self.as_int().and_then(|i| usize::try_from(i).ok())
     }
 
-    /// The value as a `bool`.
-    pub fn as_bool(&self) -> Option<bool> {
-        match *self {
-            Json::Bool(b) => Some(b),
-            _ => None,
-        }
-    }
-
     /// The value as a string slice.
     pub fn as_str(&self) -> Option<&str> {
         match self {
@@ -141,11 +133,6 @@ impl Json {
             Json::Arr(items) => Some(items),
             _ => None,
         }
-    }
-
-    /// True for `Json::Null`.
-    pub fn is_null(&self) -> bool {
-        matches!(self, Json::Null)
     }
 
     /// Build an object from `(key, value)` pairs (order preserved).

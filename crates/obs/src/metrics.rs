@@ -6,9 +6,8 @@ use bpp_json::{Json, ToJson};
 
 /// Wiring-time handle for one counter: a dense index into the registry's
 /// value table, obtained once from [`Metrics::counter_handle`] and then
-/// bumped with [`Metrics::inc_handle`] / [`Metrics::add_handle`] at a cost
-/// of one bounds-checked array add — no string hashing or tree walk on the
-/// hot path.
+/// bumped with [`Metrics::inc_handle`] at a cost of one bounds-checked
+/// array add — no string hashing or tree walk on the hot path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CounterHandle(usize);
 
@@ -52,11 +51,6 @@ impl Metrics {
     /// Increment the counter behind `handle` by one.
     pub fn inc_handle(&mut self, handle: CounterHandle) {
         self.values[handle.0] += 1;
-    }
-
-    /// Increment the counter behind `handle` by `by`.
-    pub fn add_handle(&mut self, handle: CounterHandle, by: u64) {
-        self.values[handle.0] += by;
     }
 
     /// Increment counter `name` by one (creating it at zero first).
@@ -143,9 +137,8 @@ mod tests {
         let h = m.counter_handle("hot.path");
         assert_eq!(m.counter("hot.path"), 0, "interning creates at zero");
         m.inc_handle(h);
-        m.add_handle(h, 9);
         m.inc("hot.path");
-        assert_eq!(m.counter("hot.path"), 11);
+        assert_eq!(m.counter("hot.path"), 2);
         let h2 = m.counter_handle("hot.path");
         assert_eq!(h, h2, "re-interning returns the same slot");
     }

@@ -106,6 +106,42 @@ impl QueueStats {
     }
 }
 
+/// Field-wise sum, e.g. over the pull shards of a K-channel run.
+impl std::ops::Add for QueueStats {
+    type Output = QueueStats;
+
+    fn add(self, o: QueueStats) -> QueueStats {
+        QueueStats {
+            received: self.received + o.received,
+            enqueued: self.enqueued + o.enqueued,
+            coalesced: self.coalesced + o.coalesced,
+            dropped_full: self.dropped_full + o.dropped_full,
+            dropped_evicted: self.dropped_evicted + o.dropped_evicted,
+            served: self.served + o.served,
+            served_requests: self.served_requests + o.served_requests,
+            evicted_requests: self.evicted_requests + o.evicted_requests,
+        }
+    }
+}
+
+/// Field-wise difference: the counts since an earlier snapshot `o`.
+impl std::ops::Sub for QueueStats {
+    type Output = QueueStats;
+
+    fn sub(self, o: QueueStats) -> QueueStats {
+        QueueStats {
+            received: self.received - o.received,
+            enqueued: self.enqueued - o.enqueued,
+            coalesced: self.coalesced - o.coalesced,
+            dropped_full: self.dropped_full - o.dropped_full,
+            dropped_evicted: self.dropped_evicted - o.dropped_evicted,
+            served: self.served - o.served,
+            served_requests: self.served_requests - o.served_requests,
+            evicted_requests: self.evicted_requests - o.evicted_requests,
+        }
+    }
+}
+
 /// Bounded queue of distinct page requests.
 ///
 /// Per-page state lives in vectors indexed by [`PageId::index`], since
@@ -339,6 +375,22 @@ mod tests {
 
     fn p(i: u32) -> PageId {
         PageId(i)
+    }
+
+    #[test]
+    fn stats_add_and_subtract_field_by_field() {
+        let stats = |k: u64| QueueStats {
+            received: k,
+            enqueued: 2 * k,
+            coalesced: 3 * k,
+            dropped_full: 4 * k,
+            dropped_evicted: 5 * k,
+            served: 6 * k,
+            served_requests: 7 * k,
+            evicted_requests: 8 * k,
+        };
+        assert_eq!(stats(1) + stats(10), stats(11));
+        assert_eq!(stats(11) - stats(10), stats(1));
     }
 
     #[test]

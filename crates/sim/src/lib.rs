@@ -64,4 +64,4 @@ pub use bpp_obs::EngineObs;
 pub use engine::{Engine, Model, Scheduler, Time};
 pub use refsched::ReferenceScheduler;
 pub use rng::{stream_rng, Rng, Sample, Stream, Xoshiro256pp};
-pub use stats::{autocorrelation, BatchMeans, Confidence, Ewma, Histogram, TimeWeighted, Welford};
+pub use stats::{BatchMeans, Confidence, Ewma, Histogram, Welford};

@@ -125,26 +125,6 @@ impl Welford {
     pub fn max(&self) -> f64 {
         self.max
     }
-
-    /// Merge another accumulator into this one (parallel-combine).
-    pub fn merge(&mut self, other: &Welford) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n1 = self.count as f64;
-        let n2 = other.count as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.count += other.count;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
 }
 
 /// Exponentially weighted moving average.
@@ -282,30 +262,6 @@ impl BatchMeans {
     }
 }
 
-/// Lag-`k` sample autocorrelation of a series.
-///
-/// Used to sanity-check the batch-means batch size: if responses at lag
-/// `batch_size` still correlate strongly, batch means are not close to
-/// independent and the confidence interval is optimistic. Returns 0 for
-/// series too short to estimate (fewer than `k + 2` points) and for
-/// constant series.
-pub fn autocorrelation(xs: &[f64], k: usize) -> f64 {
-    let n = xs.len();
-    if n < k + 2 {
-        return 0.0;
-    }
-    let mean = xs.iter().sum::<f64>() / n as f64;
-    let var: f64 = xs.iter().map(|&x| (x - mean) * (x - mean)).sum();
-    if var <= f64::EPSILON {
-        return 0.0;
-    }
-    let cov: f64 = xs
-        .windows(k + 1)
-        .map(|w| (w[0] - mean) * (w[k] - mean))
-        .sum();
-    cov / var
-}
-
 /// Fixed-width histogram with an overflow bucket; supports quantile
 /// estimation by linear interpolation within a bin.
 #[derive(Debug, Clone)]
@@ -374,64 +330,6 @@ impl Histogram {
         }
         None
     }
-
-    /// Bin counts (excluding overflow), for report rendering.
-    pub fn bins(&self) -> &[u64] {
-        &self.bins
-    }
-}
-
-/// Time-weighted average of a piecewise-constant signal, e.g. queue length.
-#[derive(Debug, Clone)]
-pub struct TimeWeighted {
-    last_time: f64,
-    last_value: f64,
-    weighted_sum: f64,
-    span: f64,
-    max: f64,
-}
-
-impl TimeWeighted {
-    /// Start tracking at `t0` with initial `value`.
-    pub fn new(t0: f64, value: f64) -> Self {
-        TimeWeighted {
-            last_time: t0,
-            last_value: value,
-            weighted_sum: 0.0,
-            span: 0.0,
-            max: value,
-        }
-    }
-
-    /// Record that the signal changed to `value` at time `t` (monotone `t`).
-    ///
-    /// # Panics
-    /// When `t` goes backwards. This is a hard assert (not a debug one): a
-    /// negative `dt` would *subtract* weight from the accumulator and
-    /// silently corrupt the average, which is worse than any panic.
-    pub fn update(&mut self, t: f64, value: f64) {
-        assert!(t >= self.last_time, "time must be monotone");
-        let dt = t - self.last_time;
-        self.weighted_sum += self.last_value * dt;
-        self.span += dt;
-        self.last_time = t;
-        self.last_value = value;
-        self.max = self.max.max(value);
-    }
-
-    /// Time-average of the signal up to the last update.
-    pub fn average(&self) -> f64 {
-        if crate::approx::exactly_zero(self.span) {
-            self.last_value
-        } else {
-            self.weighted_sum / self.span
-        }
-    }
-
-    /// Maximum value seen.
-    pub fn max(&self) -> f64 {
-        self.max
-    }
 }
 
 #[cfg(test)]
@@ -460,39 +358,6 @@ mod tests {
         assert_eq!(w.mean(), 0.0);
         assert_eq!(w.variance(), 0.0);
         assert_eq!(w.count(), 0);
-    }
-
-    #[test]
-    fn welford_merge_equals_sequential() {
-        let xs: Vec<f64> = (0..1000).map(|i| (i as f64).sin() * 100.0).collect();
-        let mut whole = Welford::new();
-        for &x in &xs {
-            whole.record(x);
-        }
-        let mut left = Welford::new();
-        let mut right = Welford::new();
-        for &x in &xs[..400] {
-            left.record(x);
-        }
-        for &x in &xs[400..] {
-            right.record(x);
-        }
-        left.merge(&right);
-        assert!((left.mean() - whole.mean()).abs() < 1e-9);
-        assert!((left.variance() - whole.variance()).abs() < 1e-9);
-        assert_eq!(left.count(), whole.count());
-    }
-
-    #[test]
-    fn welford_merge_with_empty_sides() {
-        let mut a = Welford::new();
-        let mut b = Welford::new();
-        b.record(3.0);
-        a.merge(&b);
-        assert_eq!(a.mean(), 3.0);
-        let empty = Welford::new();
-        a.merge(&empty);
-        assert_eq!(a.count(), 1);
     }
 
     #[test]
@@ -540,37 +405,6 @@ mod tests {
     }
 
     #[test]
-    fn autocorrelation_of_alternating_series_is_negative() {
-        let xs: Vec<f64> = (0..100)
-            .map(|i| if i % 2 == 0 { 1.0 } else { -1.0 })
-            .collect();
-        assert!(autocorrelation(&xs, 1) < -0.9);
-        assert!(autocorrelation(&xs, 2) > 0.9);
-    }
-
-    #[test]
-    fn autocorrelation_of_noise_is_small() {
-        let mut x = 0x9E3779B97F4A7C15u64;
-        let xs: Vec<f64> = (0..5000)
-            .map(|_| {
-                x = x
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                (x >> 11) as f64 / (1u64 << 53) as f64
-            })
-            .collect();
-        assert!(autocorrelation(&xs, 1).abs() < 0.05);
-        assert!(autocorrelation(&xs, 10).abs() < 0.05);
-    }
-
-    #[test]
-    fn autocorrelation_degenerate_cases() {
-        assert_eq!(autocorrelation(&[], 1), 0.0);
-        assert_eq!(autocorrelation(&[1.0, 2.0], 5), 0.0);
-        assert_eq!(autocorrelation(&[3.0; 50], 1), 0.0);
-    }
-
-    #[test]
     fn histogram_quantiles_interpolate() {
         let mut h = Histogram::new(1.0, 100);
         for i in 0..100 {
@@ -591,21 +425,6 @@ mod tests {
         assert_eq!(h.count(), 2);
         // q=0.9 target falls in overflow -> None.
         assert_eq!(h.quantile(0.9), None);
-    }
-
-    #[test]
-    fn time_weighted_average_of_step_function() {
-        let mut tw = TimeWeighted::new(0.0, 0.0);
-        tw.update(10.0, 5.0); // value 0 for 10 units
-        tw.update(20.0, 0.0); // value 5 for 10 units
-        assert!((tw.average() - 2.5).abs() < 1e-12);
-        assert_eq!(tw.max(), 5.0);
-    }
-
-    #[test]
-    fn time_weighted_no_span_returns_current() {
-        let tw = TimeWeighted::new(3.0, 7.0);
-        assert_eq!(tw.average(), 7.0);
     }
 
     #[test]

@@ -27,10 +27,9 @@
 
 pub mod rules;
 
-use bpp_broadcast::assignment::identity_ranking;
 use bpp_broadcast::{
-    hot_access_sets, optimal_m, Assignment, BroadcastProgram, DiskSpec, IndexedProgram,
-    IndexedSlot, MultiChannelProgram, PageId, Slot,
+    hot_access_sets, optimal_m, Assignment, BroadcastProgram, IndexedProgram, IndexedSlot,
+    MultiChannelProgram, PageId, Slot,
 };
 use bpp_core::analytic;
 use bpp_core::config::{Algorithm, SystemConfig};
@@ -191,22 +190,15 @@ pub struct Target {
 }
 
 impl Target {
-    /// Build the target for a [`SystemConfig`] exactly as the simulator
-    /// does: identity ranking, offset transform, chop (everything for
-    /// Pure-Pull, whose program is empty), Zipf weights at Noise-0, and
-    /// the ideal cache under the effective policy. The closed-form
-    /// cross-check value is pinned to [`analytic::push_response`] for push
-    /// algorithms.
+    /// Build the target for a [`SystemConfig`] from the layout the
+    /// simulator airs ([`analytic::build_assignment`] and
+    /// [`analytic::build_channels`]: Pure-Pull's program is empty), with
+    /// Zipf weights at Noise-0 and the ideal cache under the effective
+    /// policy. The closed-form cross-check value is pinned to
+    /// [`analytic::push_response`] for push algorithms.
     pub fn from_config(label: &str, cfg: &SystemConfig) -> Self {
-        let ranking = identity_ranking(cfg.db_size);
-        let spec = DiskSpec::new(cfg.disk_sizes.clone(), cfg.rel_freqs.clone());
-        let mut a = if cfg.offset {
-            Assignment::with_offset(&ranking, &spec, cfg.cache_size)
-        } else {
-            Assignment::from_ranking(&ranking, &spec)
-        };
+        let a = analytic::build_assignment(cfg);
         let pure_pull = cfg.algorithm == Algorithm::PurePull;
-        a.chop(if pure_pull { cfg.db_size } else { cfg.chop });
         let program = BroadcastProgram::generate(&a, cfg.db_size);
         let weights = Zipf::new(cfg.db_size, cfg.zipf_theta).probs().to_vec();
         let cached = analytic::ideal_cache(cfg, &program);
@@ -221,14 +213,7 @@ impl Target {
             pure_pull,
             closed,
         );
-        // K-channel configurations verify the placement the simulator
-        // actually airs: the conflict-aware generator over the same access
-        // sets, so V6 gates the real layout rather than the single-channel
-        // reduction.
-        if cfg.num_channels > 1 {
-            t.channels =
-                MultiChannelProgram::generate(&a, cfg.db_size, cfg.num_channels, &t.access_sets);
-        }
+        t.channels = analytic::build_channels(cfg, &a, t.program.clone(), &t.weights);
         t
     }
 

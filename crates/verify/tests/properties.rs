@@ -20,7 +20,10 @@ use bpp_broadcast::{
     assignment::identity_ranking, Assignment, BroadcastProgram, DiskSpec, MultiChannelProgram,
     PageId, Slot,
 };
-use bpp_core::config::{Algorithm, SystemConfig};
+use bpp_core::analytic::build_program;
+use bpp_core::config::{Algorithm, MeasurementProtocol, SystemConfig};
+use bpp_core::experiments::verify_targets;
+use bpp_core::World;
 use bpp_sim::rng::{stream_rng_raw, Rng};
 use bpp_verify::{verify_target, Finding, Target};
 
@@ -225,6 +228,46 @@ fn k_channel_config_targets_verify_clean_for_every_grid_count() {
         let findings = verify_target(&t);
         assert!(findings.is_empty(), "ch{k}: {findings:?}");
     }
+}
+
+/// The two programs carry the same slots and the same per-slot disks.
+fn assert_same_program(what: &str, a: &BroadcastProgram, b: &BroadcastProgram) {
+    assert_eq!(a.slots(), b.slots(), "{what}: slots differ");
+    assert_eq!(a.disk_map(), b.disk_map(), "{what}: disks differ");
+}
+
+#[test]
+fn verified_layout_is_the_simulated_layout_for_every_grid_target() {
+    // The verifier, the simulator and the closed-form comparator derive
+    // one broadcast layout: every experiment-grid config of both systems
+    // airs, channel by channel, exactly what its verify target audits, and
+    // a single-channel config's program is `build_program`'s.
+    let protocol = MeasurementProtocol::quick();
+    let mut pure_pull = 0;
+    for base in [SystemConfig::small(), SystemConfig::paper_default()] {
+        for (label, cfg) in verify_targets(&base) {
+            let world = World::steady_state(&cfg, &protocol);
+            let simulated = world.channels();
+            let verified = Target::from_config(&label, &cfg).channels;
+            assert_eq!(simulated.num_channels(), cfg.num_channels, "{label}");
+            assert_eq!(verified.num_channels(), cfg.num_channels, "{label}");
+            for k in 0..cfg.num_channels {
+                assert_same_program(
+                    &format!("{label} ch{k}"),
+                    simulated.channel(k),
+                    verified.channel(k),
+                );
+            }
+            if cfg.num_channels == 1 {
+                assert_same_program(&label, &build_program(&cfg), simulated.channel(0));
+            }
+            if cfg.algorithm == Algorithm::PurePull {
+                pure_pull += 1;
+                assert_eq!(simulated.channel(0).major_cycle(), 0, "{label}");
+            }
+        }
+    }
+    assert!(pure_pull > 0, "the grid covers Pure-Pull");
 }
 
 #[test]

@@ -106,6 +106,19 @@ cargo fmt --check
 ./target/release/verify --smoke | cmp - results/verify_smoke.json \
     || { echo "ci: verify smoke report diverged from results/verify_smoke.json" >&2; exit 1; }
 
+# Entry points no golden pins: every figure and table binary at its quick
+# setting on the small system, and every example once. Their output is
+# not compared; a panic or a non-zero exit fails the gate.
+cargo build --release --frozen --examples
+for bin in fig3 fig4 fig5 fig6 fig7 fig8 tables extensions ablations; do
+    ./target/release/"$bin" --quick --small --seed 5 > /dev/null \
+        || { echo "ci: $bin --quick --small --seed 5 failed" >&2; exit 1; }
+done
+for example in quickstart traffic_info stock_ticker capacity_planner program_designer; do
+    ./target/release/examples/"$example" > /dev/null \
+        || { echo "ci: example $example failed" >&2; exit 1; }
+done
+
 # Micro-benchmarks are opt-in (BPP_BENCH=1): wall-clock noise has no place
 # in the default gate, but the engine/obs hot paths can be tracked on
 # demand. `cargo bench` runs from the package root, so the BENCH_*.json
