@@ -99,9 +99,10 @@ impl Opts {
 }
 
 /// The fixed cell behind the `--smoke` goldens of `faults`, `fleet`,
-/// `obs`, `chaos` and `channels`: the small system, IPP with PullBW 50%,
-/// ThresPerc 0 and SteadyStatePerc 95%, ThinkTimeRatio 1, seed 42. Each
-/// binary sets only what its golden adds on top.
+/// `obs`, `chaos` and `channels` and the retry cells of `ablations`: the
+/// small system, IPP with PullBW 50%, ThresPerc 0 and SteadyStatePerc 95%,
+/// ThinkTimeRatio 1, seed 42. Each binary sets only what its golden adds
+/// on top.
 pub fn smoke_cell() -> SystemConfig {
     SystemConfig {
         algorithm: Algorithm::Ipp,
