@@ -19,7 +19,6 @@ use bpp_core::{run_chaos, CrashConfig, FaultPhase, FaultSchedule, MeasurementPro
 fn smoke() {
     let mut cfg = smoke_cell();
     cfg.fault.crash = CrashConfig {
-        mtbf: 0.0,
         downtime: 20.0,
         schedule: vec![],
         reconnect_jitter: 0.5,

@@ -19,76 +19,31 @@ use bpp_json::{Json, ToJson};
 use bpp_server::QueueStats;
 use bpp_sim::Confidence;
 
-/// Tuning of the adaptive controller.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AdaptiveConfig {
-    /// Slots between adjustment decisions.
-    pub interval: u64,
-    /// Lower bound for `PullBW`.
-    pub min_pull_bw: f64,
-    /// Upper bound for `PullBW`.
-    pub max_pull_bw: f64,
-    /// `PullBW` change per adjustment.
-    pub bw_step: f64,
-    /// Lower bound for the client threshold (fraction of major cycle).
-    pub min_thres: f64,
-    /// Upper bound for the client threshold.
-    pub max_thres: f64,
-    /// Threshold change per adjustment.
-    pub thres_step: f64,
-    /// Window drop rate above which the system is considered saturated.
-    pub high_drop: f64,
-    /// Window drop rate below which the system is considered underloaded.
-    pub low_drop: f64,
-}
-
-impl Default for AdaptiveConfig {
-    fn default() -> Self {
-        AdaptiveConfig {
-            interval: 2_000,
-            min_pull_bw: 0.1,
-            max_pull_bw: 0.9,
-            bw_step: 0.1,
-            min_thres: 0.0,
-            max_thres: 0.5,
-            thres_step: 0.1,
-            high_drop: 0.10,
-            low_drop: 0.01,
-        }
-    }
-}
-
-impl ToJson for AdaptiveConfig {
-    fn to_json(&self) -> Json {
-        let AdaptiveConfig {
-            interval,
-            min_pull_bw,
-            max_pull_bw,
-            bw_step,
-            min_thres,
-            max_thres,
-            thres_step,
-            high_drop,
-            low_drop,
-        } = self;
-        Json::object([
-            ("interval", interval.to_json()),
-            ("min_pull_bw", min_pull_bw.to_json()),
-            ("max_pull_bw", max_pull_bw.to_json()),
-            ("bw_step", bw_step.to_json()),
-            ("min_thres", min_thres.to_json()),
-            ("max_thres", max_thres.to_json()),
-            ("thres_step", thres_step.to_json()),
-            ("high_drop", high_drop.to_json()),
-            ("low_drop", low_drop.to_json()),
-        ])
-    }
-}
+/// The usual decision interval, in slots, for [`run_adaptive`] and
+/// [`AdaptiveController::new`].
+pub const DEFAULT_INTERVAL: u64 = 2_000;
+/// Lower bound for `PullBW`.
+const MIN_PULL_BW: f64 = 0.1;
+/// Upper bound for `PullBW`.
+const MAX_PULL_BW: f64 = 0.9;
+/// `PullBW` change per adjustment.
+const BW_STEP: f64 = 0.1;
+/// Lower bound for the client threshold (fraction of major cycle).
+const MIN_THRES: f64 = 0.0;
+/// Upper bound for the client threshold.
+const MAX_THRES: f64 = 0.5;
+/// Threshold change per adjustment.
+const THRES_STEP: f64 = 0.1;
+/// Window drop rate above which the system is considered saturated.
+const HIGH_DROP: f64 = 0.10;
+/// Window drop rate below which the system is considered underloaded.
+const LOW_DROP: f64 = 0.01;
 
 /// Watches queue statistics and proposes (PullBW, ThresPerc) updates.
 #[derive(Debug, Clone)]
 pub struct AdaptiveController {
-    cfg: AdaptiveConfig,
+    /// Slots between adjustment decisions.
+    interval: u64,
     slots_since_adjust: u64,
     window_start: QueueStats,
     pull_bw: f64,
@@ -99,14 +54,13 @@ pub struct AdaptiveController {
 }
 
 impl AdaptiveController {
-    /// Start from the current knob settings.
-    pub fn new(cfg: AdaptiveConfig, initial_pull_bw: f64, initial_thres: f64) -> Self {
-        assert!(cfg.min_pull_bw <= cfg.max_pull_bw && cfg.min_thres <= cfg.max_thres);
-        assert!(cfg.low_drop <= cfg.high_drop);
-        let pull_bw = initial_pull_bw.clamp(cfg.min_pull_bw, cfg.max_pull_bw);
-        let thres = initial_thres.clamp(cfg.min_thres, cfg.max_thres);
+    /// Start from the current knob settings, deciding every `interval`
+    /// slots.
+    pub fn new(interval: u64, initial_pull_bw: f64, initial_thres: f64) -> Self {
+        let pull_bw = initial_pull_bw.clamp(MIN_PULL_BW, MAX_PULL_BW);
+        let thres = initial_thres.clamp(MIN_THRES, MAX_THRES);
         AdaptiveController {
-            cfg,
+            interval,
             slots_since_adjust: 0,
             window_start: QueueStats::default(),
             pull_bw,
@@ -128,8 +82,8 @@ impl AdaptiveController {
         // No `..`: a new field does not compile until it is wiped here or
         // kept on purpose (`field: _`).
         let Self {
-            // Configuration: the restarted controller keeps its bounds.
-            cfg: _,
+            // Configuration: the restarted controller keeps its interval.
+            interval: _,
             slots_since_adjust,
             window_start,
             pull_bw,
@@ -166,7 +120,7 @@ impl AdaptiveController {
     /// they changed.
     pub fn on_slot(&mut self, cumulative: &QueueStats) -> Option<(f64, f64)> {
         self.slots_since_adjust += 1;
-        if self.slots_since_adjust < self.cfg.interval {
+        if self.slots_since_adjust < self.interval {
             return None;
         }
         self.slots_since_adjust = 0;
@@ -178,15 +132,15 @@ impl AdaptiveController {
         }
         let drop_rate = dropped as f64 / received as f64;
         let (old_bw, old_thres) = (self.pull_bw, self.thres);
-        if drop_rate > self.cfg.high_drop {
+        if drop_rate > HIGH_DROP {
             // Saturated: hand bandwidth back to the push safety net and
             // make clients conserve the backchannel.
-            self.pull_bw = (self.pull_bw - self.cfg.bw_step).max(self.cfg.min_pull_bw);
-            self.thres = (self.thres + self.cfg.thres_step).min(self.cfg.max_thres);
-        } else if drop_rate < self.cfg.low_drop {
+            self.pull_bw = (self.pull_bw - BW_STEP).max(MIN_PULL_BW);
+            self.thres = (self.thres + THRES_STEP).min(MAX_THRES);
+        } else if drop_rate < LOW_DROP {
             // Underloaded: spend bandwidth on responsive on-demand service.
-            self.pull_bw = (self.pull_bw + self.cfg.bw_step).min(self.cfg.max_pull_bw);
-            self.thres = (self.thres - self.cfg.thres_step).max(self.cfg.min_thres);
+            self.pull_bw = (self.pull_bw + BW_STEP).min(MAX_PULL_BW);
+            self.thres = (self.thres - THRES_STEP).max(MIN_THRES);
         }
         if (self.pull_bw, self.thres) != (old_bw, old_thres) {
             self.adjustments += 1;
@@ -221,7 +175,8 @@ impl ToJson for AdaptiveResult {
     }
 }
 
-/// Run the steady-state protocol with the adaptive controller enabled.
+/// Run the steady-state protocol with the adaptive controller enabled,
+/// deciding every `interval` slots.
 ///
 /// # Panics
 ///
@@ -230,11 +185,11 @@ impl ToJson for AdaptiveResult {
 pub fn run_adaptive(
     cfg: &SystemConfig,
     proto: &MeasurementProtocol,
-    actrl: AdaptiveConfig,
+    interval: u64,
 ) -> AdaptiveResult {
     let mut world = World::steady_state(cfg, proto);
     world.enable_adaptive(AdaptiveController::new(
-        actrl,
+        interval,
         cfg.effective_pull_bw(),
         cfg.thres_perc,
     ));
@@ -272,11 +227,7 @@ mod tests {
 
     #[test]
     fn controller_backs_off_under_drops() {
-        let cfg = AdaptiveConfig {
-            interval: 10,
-            ..Default::default()
-        };
-        let mut c = AdaptiveController::new(cfg, 0.5, 0.0);
+        let mut c = AdaptiveController::new(10, 0.5, 0.0);
         let mut update = None;
         for slot in 1..=10 {
             update = c.on_slot(&stats(slot * 10, slot * 5)); // 50% drops
@@ -288,11 +239,7 @@ mod tests {
 
     #[test]
     fn controller_opens_up_when_idle() {
-        let cfg = AdaptiveConfig {
-            interval: 5,
-            ..Default::default()
-        };
-        let mut c = AdaptiveController::new(cfg, 0.3, 0.3);
+        let mut c = AdaptiveController::new(5, 0.3, 0.3);
         let mut update = None;
         for slot in 1..=5 {
             update = c.on_slot(&stats(slot * 10, 0));
@@ -304,28 +251,20 @@ mod tests {
 
     #[test]
     fn controller_respects_bounds() {
-        let cfg = AdaptiveConfig {
-            interval: 1,
-            ..Default::default()
-        };
-        let mut c = AdaptiveController::new(cfg, 0.1, 0.5);
+        let mut c = AdaptiveController::new(1, 0.1, 0.5);
         // Saturated forever: knobs must stay clamped.
         for slot in 1..200u64 {
             c.on_slot(&stats(slot * 100, slot * 90));
-            assert!(c.pull_bw() >= cfg.min_pull_bw - 1e-12);
-            assert!(c.thres_perc() <= cfg.max_thres + 1e-12);
+            assert!(c.pull_bw() >= MIN_PULL_BW - 1e-12);
+            assert!(c.thres_perc() <= MAX_THRES + 1e-12);
         }
-        assert!((c.pull_bw() - cfg.min_pull_bw).abs() < 1e-9);
-        assert!((c.thres_perc() - cfg.max_thres).abs() < 1e-9);
+        assert!((c.pull_bw() - MIN_PULL_BW).abs() < 1e-9);
+        assert!((c.thres_perc() - MAX_THRES).abs() < 1e-9);
     }
 
     #[test]
     fn crash_reset_restores_initial_knobs_and_reanchors_the_window() {
-        let cfg = AdaptiveConfig {
-            interval: 1,
-            ..Default::default()
-        };
-        let mut c = AdaptiveController::new(cfg, 0.5, 0.1);
+        let mut c = AdaptiveController::new(1, 0.5, 0.1);
         // Drive the knobs away from their initial settings.
         for slot in 1..=5u64 {
             c.on_slot(&stats(slot * 100, slot * 90));
@@ -343,11 +282,7 @@ mod tests {
 
     #[test]
     fn moderate_drop_rate_holds_steady() {
-        let cfg = AdaptiveConfig {
-            interval: 1,
-            ..Default::default()
-        };
-        let mut c = AdaptiveController::new(cfg, 0.5, 0.2);
+        let mut c = AdaptiveController::new(1, 0.5, 0.2);
         // 5% drops: between low (1%) and high (10%) watermarks.
         for slot in 1..50u64 {
             assert_eq!(c.on_slot(&stats(slot * 100, slot * 5)), None);
@@ -357,11 +292,7 @@ mod tests {
 
     #[test]
     fn empty_window_makes_no_decision() {
-        let cfg = AdaptiveConfig {
-            interval: 2,
-            ..Default::default()
-        };
-        let mut c = AdaptiveController::new(cfg, 0.5, 0.0);
+        let mut c = AdaptiveController::new(2, 0.5, 0.0);
         assert_eq!(c.on_slot(&stats(0, 0)), None);
         assert_eq!(c.on_slot(&stats(0, 0)), None);
         assert_eq!(c.adjustments(), 0);
@@ -372,12 +303,8 @@ mod tests {
         let mut cfg = SystemConfig::small();
         cfg.algorithm = Algorithm::Ipp;
         cfg.think_time_ratio = 100.0;
-        let actrl = AdaptiveConfig {
-            interval: 200,
-            ..Default::default()
-        };
-        let r = run_adaptive(&cfg, &MeasurementProtocol::quick(), actrl);
+        let r = run_adaptive(&cfg, &MeasurementProtocol::quick(), 200);
         assert!(r.steady.mean_response > 0.0);
-        assert!(r.final_pull_bw >= actrl.min_pull_bw && r.final_pull_bw <= actrl.max_pull_bw);
+        assert!(r.final_pull_bw >= MIN_PULL_BW && r.final_pull_bw <= MAX_PULL_BW);
     }
 }

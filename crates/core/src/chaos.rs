@@ -5,8 +5,7 @@
 //! each phase holds the channel loss rates and brownout window for its
 //! duration and may crash the server at a fixed offset into the phase.
 //! [`run_chaos`] compiles the crash offsets into an explicit
-//! [`CrashConfig`] schedule (so the timeline is reproducible bit for bit,
-//! independent of any MTBF draw), drives the engine phase by phase, and
+//! [`CrashConfig`] schedule, drives the engine phase by phase, and
 //! finishes by asserting the run's [`ConservationLedger`] — every
 //! backchannel request sent must be accounted for by exactly one outcome.
 //!
@@ -209,10 +208,9 @@ impl ToJson for ChaosResult {
 ///
 /// `cfg.fault.crash` supplies the crash *dynamics* (downtime, reconnect
 /// jitter, recovery epsilon); the schedule supplies the crash *times*,
-/// compiled into `crash.schedule`. A config arriving with an MTBF and a
-/// schedule with crash offsets is rejected by config validation (the two
-/// crash sources are mutually exclusive); an MTBF with an offset-free
-/// schedule is fine — the timeline then only modulates the channels.
+/// compiled into `crash.schedule`, replacing the config's own schedule
+/// when any phase has a crash offset. With offset-free phases the
+/// config's schedule stands and the timeline only modulates the channels.
 ///
 /// Panics on an invalid schedule/config, and — the auditor — on any
 /// conservation violation at the end of the run.

@@ -103,13 +103,8 @@ impl ToJson for QueueDiscipline {
 /// drained (every pending request becomes *orphaned*), the saturation
 /// detector's EWMA and the adaptive controller's learning are reset, and
 /// broadcast slots go silent for `downtime` broadcast units. Crash times
-/// come from one of two mutually exclusive sources:
-///
-/// * `mtbf` — an exponential inter-crash distribution drawn on the
-///   dedicated `Stream::Crash` RNG stream (mean time between failures,
-///   measured restart-to-crash);
-/// * `schedule` — an explicit, strictly increasing list of crash times for
-///   deterministic chaos scenarios.
+/// come from `schedule`, an explicit, strictly increasing list, so a crash
+/// draws no random number.
 ///
 /// Recovery is *cold*: clients rediscover the server through their retry
 /// timers, stretched by `reconnect_jitter` to decorrelate the reconnect
@@ -118,18 +113,15 @@ impl ToJson for QueueDiscipline {
 /// its pre-crash level.
 ///
 /// [`CrashConfig::none`] (the default) disables the whole domain: no crash
-/// state is constructed, `Stream::Crash` is never seeded, and runs are
-/// bitwise identical to a build without it.
+/// state is constructed, and runs are bitwise identical to a build without
+/// it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CrashConfig {
-    /// Mean time between failures in broadcast units (exponential draw on
-    /// the `Stream::Crash` stream). `0` disables random crashes.
-    pub mtbf: f64,
     /// How long the server stays down after each crash, in broadcast
     /// units. Must be positive when crashes are configured.
     pub downtime: f64,
-    /// Explicit crash times (broadcast units, strictly increasing).
-    /// Mutually exclusive with `mtbf`; empty means none.
+    /// Explicit crash times (broadcast units, strictly increasing); empty
+    /// means none.
     pub schedule: Vec<f64>,
     /// Reconnect-jitter fraction in `[0, 1]`: a client whose send was
     /// refused or admission-rejected stretches its next retry delay by a
@@ -151,7 +143,6 @@ impl CrashConfig {
     /// No crashes ever: the strict no-op configuration.
     pub fn none() -> Self {
         CrashConfig {
-            mtbf: 0.0,
             downtime: 0.0,
             schedule: Vec::new(),
             reconnect_jitter: 0.0,
@@ -159,27 +150,20 @@ impl CrashConfig {
         }
     }
 
-    /// Whether any crash source is configured.
+    /// Whether any crash is scheduled.
     pub fn enabled(&self) -> bool {
-        self.mtbf > 0.0 || !self.schedule.is_empty()
+        !self.schedule.is_empty()
     }
 
     /// Check the parameters, returning a human-readable description of the
     /// first problem found. A disabled config is always valid.
     pub fn validate(&self) -> Result<(), String> {
         let CrashConfig {
-            mtbf,
             downtime,
             ref schedule,
             reconnect_jitter,
             recovery_epsilon,
         } = *self;
-        if !mtbf.is_finite() || mtbf < 0.0 {
-            return Err(format!("crash mtbf must be finite and >= 0, got {mtbf}"));
-        }
-        if mtbf > 0.0 && !schedule.is_empty() {
-            return Err("crash mtbf and an explicit schedule are mutually exclusive".to_string());
-        }
         for w in schedule.windows(2) {
             // partial_cmp so NaN (incomparable) also fails the check.
             if !matches!(w[1].partial_cmp(&w[0]), Some(std::cmp::Ordering::Greater)) {
@@ -218,14 +202,12 @@ impl CrashConfig {
 impl ToJson for CrashConfig {
     fn to_json(&self) -> Json {
         let CrashConfig {
-            mtbf,
             downtime,
             schedule,
             reconnect_jitter,
             recovery_epsilon,
         } = self;
         Json::object([
-            ("mtbf", mtbf.to_json()),
             ("downtime", downtime.to_json()),
             ("schedule", schedule.to_json()),
             ("reconnect_jitter", reconnect_jitter.to_json()),
@@ -496,13 +478,9 @@ pub struct SystemConfig {
     pub mc_prefetch: bool,
     /// Server update rate in updates per broadcast unit (\[Acha96b\],
     /// extension; this paper assumes read-only data, i.e. 0.0). Updates
-    /// pick pages from the same skewed popularity distribution and
-    /// invalidate client-cached copies.
+    /// pick pages from the same skewed popularity distribution (hot data
+    /// churns) and invalidate client-cached copies.
     pub update_rate: f64,
-    /// Correlation between the update pattern and the access pattern
-    /// (\[Acha96b\]): 1.0 means updates hit pages with their access
-    /// probability (hot data churns), 0.0 means updates are uniform.
-    pub update_access_correlation: f64,
     /// Root seed for every random stream in the run.
     pub seed: u64,
     /// Number of parallel broadcast channels (K-channel extension). `1`,
@@ -552,7 +530,6 @@ impl SystemConfig {
             queue_discipline: QueueDiscipline::Fifo,
             mc_prefetch: false,
             update_rate: 0.0,
-            update_access_correlation: 1.0,
             seed: 0x5EED_B0DC,
             num_channels: 1,
             fault: FaultConfig::none(),
@@ -643,7 +620,6 @@ impl SystemConfig {
             queue_discipline: _,
             mc_prefetch: _,
             update_rate,
-            update_access_correlation,
             seed: _,
             num_channels,
             ref fault,
@@ -718,7 +694,6 @@ impl SystemConfig {
             ("noise", noise),
             ("pull_bw", pull_bw),
             ("thres_perc", thres_perc),
-            ("update_access_correlation", update_access_correlation),
             ("fault.broadcast_loss", broadcast_loss),
             ("fault.request_loss", request_loss),
         ] {
@@ -808,7 +783,6 @@ impl ToJson for SystemConfig {
             queue_discipline,
             mc_prefetch,
             update_rate,
-            update_access_correlation,
             seed,
             num_channels,
             fault,
@@ -835,10 +809,6 @@ impl ToJson for SystemConfig {
             ("queue_discipline", queue_discipline.to_json()),
             ("mc_prefetch", mc_prefetch.to_json()),
             ("update_rate", update_rate.to_json()),
-            (
-                "update_access_correlation",
-                update_access_correlation.to_json(),
-            ),
             ("seed", seed.to_json()),
         ];
         // Each extension member appears only when it deviates from the
@@ -1325,7 +1295,6 @@ mod tests {
         c.noise = -0.25;
         c.pull_bw = 2.0;
         c.thres_perc = f64::NAN;
-        c.update_access_correlation = 1.5;
         c.fault.broadcast_loss = 3.0;
         c.fault.request_loss = -0.5;
         c.chop = 5;
@@ -1343,8 +1312,7 @@ mod tests {
         c.obs.timeline_stride = 0.0;
         c.population = ClientPopulation::fleet(u32::MAX as usize + 1);
         c.fault.crash = CrashConfig {
-            mtbf: 1000.0,
-            schedule: vec![50.0],
+            schedule: vec![50.0, 20.0],
             downtime: 10.0,
             ..CrashConfig::none()
         };
@@ -1353,7 +1321,7 @@ mod tests {
             burst: 0.0,
             retry_after: 8.0,
         };
-        assert_eq!(errors_of(&c).len(), 28);
+        assert_eq!(errors_of(&c).len(), 27);
         assert_eq!(
             c.validate().unwrap_err().to_string(),
             concat!(
@@ -1371,7 +1339,6 @@ mod tests {
                 "noise must be in [0,1], got -0.25; ",
                 "pull_bw must be in [0,1], got 2; ",
                 "thres_perc must be in [0,1], got NaN; ",
-                "update_access_correlation must be in [0,1], got 1.5; ",
                 "fault.broadcast_loss must be in [0,1], got 3; ",
                 "fault.request_loss must be in [0,1], got -0.5; ",
                 "cannot chop more than the database (5 > 0); ",
@@ -1383,7 +1350,7 @@ mod tests {
                 "saturation off_occupancy must be in [0, on_occupancy), got 0.9 (on = 0.5); ",
                 "timeline_stride must be finite and positive, got 0; ",
                 "fleet_clients must fit in u32, got 4294967296; ",
-                "crash mtbf and an explicit schedule are mutually exclusive; ",
+                "crash schedule must be strictly increasing, got 50 then 20; ",
                 "admission burst must be finite and >= 1 when enabled, got 0"
             )
         );
@@ -1403,7 +1370,7 @@ mod tests {
                 r#""rel_freqs":[3,2,1],"offset":true,"server_queue_size":100,"pull_bw":0.5,"#,
                 r#""thres_perc":0.0,"chop":0,"algorithm":"Ipp","mc_cache_policy":null,"#,
                 r#""queue_discipline":"Fifo","mc_prefetch":false,"update_rate":0.0,"#,
-                r#""update_access_correlation":1.0,"seed":1592635612}"#
+                r#""seed":1592635612}"#
             )
         );
         assert_eq!(Json::parse(&text).unwrap(), c.to_json());
@@ -1504,11 +1471,10 @@ mod tests {
         let mut c = SystemConfig::small();
         c.obs.enabled = true;
         c.obs.timeline_stride = 25.0;
-        c.obs.trace_capacity = 64;
         c.validate().unwrap();
         assert_eq!(
             member(&c, "obs").as_deref(),
-            Some(r#"{"enabled":true,"timeline_stride":25.0,"trace_capacity":64}"#)
+            Some(r#"{"enabled":true,"timeline_stride":25.0}"#)
         );
     }
 
@@ -1624,9 +1590,8 @@ mod tests {
     fn enabled_crash_model_round_trips_through_json() {
         let mut c = SystemConfig::small();
         c.fault.crash = CrashConfig {
-            mtbf: 2000.0,
             downtime: 64.0,
-            schedule: Vec::new(),
+            schedule: vec![2000.0],
             reconnect_jitter: 0.5,
             recovery_epsilon: 0.05,
         };
@@ -1636,7 +1601,7 @@ mod tests {
         assert_eq!(
             fault.get("crash").map(Json::dump).as_deref(),
             Some(concat!(
-                r#"{"mtbf":2000.0,"downtime":64.0,"schedule":[],"#,
+                r#"{"downtime":64.0,"schedule":[2000.0],"#,
                 r#""reconnect_jitter":0.5,"recovery_epsilon":0.05}"#
             ))
         );
@@ -1660,7 +1625,7 @@ mod tests {
         assert_eq!(
             fault.get("crash").map(Json::dump).as_deref(),
             Some(concat!(
-                r#"{"mtbf":0.0,"downtime":32.0,"schedule":[100.0,450.5,900.0],"#,
+                r#"{"downtime":32.0,"schedule":[100.0,450.5,900.0],"#,
                 r#""reconnect_jitter":0.0,"recovery_epsilon":0.0}"#
             ))
         );
@@ -1669,21 +1634,10 @@ mod tests {
 
     #[test]
     fn crash_validation_rejects_malformed_models() {
-        // mtbf and an explicit schedule are alternative crash sources.
+        // Crashes without downtime make no sense.
         let mut c = SystemConfig::small();
         c.fault.crash = CrashConfig {
-            mtbf: 1000.0,
             schedule: vec![50.0],
-            downtime: 10.0,
-            ..CrashConfig::none()
-        };
-        assert_eq!(
-            errors_of(&c),
-            ["crash mtbf and an explicit schedule are mutually exclusive"]
-        );
-        // Crashes without downtime make no sense.
-        c.fault.crash = CrashConfig {
-            mtbf: 1000.0,
             downtime: 0.0,
             ..CrashConfig::none()
         };
@@ -1703,7 +1657,7 @@ mod tests {
         );
         // Jitter is a fraction.
         c.fault.crash = CrashConfig {
-            mtbf: 1000.0,
+            schedule: vec![50.0],
             downtime: 10.0,
             reconnect_jitter: 1.5,
             ..CrashConfig::none()
@@ -1740,14 +1694,11 @@ mod tests {
         let obs = ObsConfig {
             enabled: true,
             timeline_stride: 50.0,
-            trace_capacity: 64,
-            mc_hit_rate: true,
             disk_share: true,
         };
         let crash = CrashConfig {
-            mtbf: 2000.0,
             downtime: 64.0,
-            schedule: Vec::new(),
+            schedule: vec![2000.0],
             reconnect_jitter: 0.5,
             recovery_epsilon: 0.05,
         };
@@ -1787,7 +1738,6 @@ mod tests {
             queue_discipline: QueueDiscipline::MostRequested,
             mc_prefetch: true,
             update_rate: 0.01,
-            update_access_correlation: 0.5,
             seed: 7,
             num_channels: 2,
             fault,

@@ -732,7 +732,6 @@ pub fn crash_sweep(base: &SystemConfig, proto: &MeasurementProtocol) -> Figure {
         // Three spaced crashes: MTTR is a mean over the recoveries the run
         // reaches, which damps the sample noise of a single crossing.
         c.fault.crash = CrashConfig {
-            mtbf: 0.0,
             downtime: 100.0,
             schedule: vec![5_000.0, 12_000.0, 19_000.0],
             reconnect_jitter: 0.5,

@@ -145,8 +145,8 @@ pub struct CrashReport {
     pub mean_time_to_recover: f64,
     /// Worst time-to-recover over completed recoveries.
     pub max_time_to_recover: f64,
-    /// When the first crash struck, if any did (pins the exponential
-    /// schedule in determinism tests).
+    /// When the first crash struck, if any did: the first slot boundary at
+    /// or after the schedule's first time.
     pub first_crash_at: Option<f64>,
     /// Requests admitted by the token bucket (when admission is enabled).
     pub admitted: u64,

@@ -30,16 +30,13 @@ pub(crate) struct ObsState {
     /// `None` under the aggregate population so its report keys (and the
     /// serialized bytes) only exist when a fleet runs.
     fleet_hit_rate: Option<Timeline>,
-    /// Measured Client cumulative cache hit rate, sampled at every slot
-    /// boundary; `None` unless the `mc_hit_rate` obs knob is on.
-    mc_hit_rate: Option<Timeline>,
     /// Server availability (0 up / 1 down / 2 recovering), sampled at
     /// every slot boundary; `None` unless the crash domain is active.
     fault_state: Option<Timeline>,
     /// Per-disk cumulative share of push slots (padding included — padding
     /// is bandwidth charged to its disk), sampled at every slot boundary;
     /// `None` unless the `disk_share` obs knob is on.
-    disk_share: Option<DiskShare>,
+    disk_share: Option<PushShare>,
     /// Per-channel instrumentation; `None` unless `num_channels > 1`, so
     /// single-channel reports keep the paper system's key set.
     channels: Option<ChannelObs>,
@@ -52,40 +49,67 @@ pub(crate) struct ObsState {
 struct ChannelObs {
     /// One `server.ch<k>.queue_depth` timeline per pull shard.
     depth: Vec<Timeline>,
-    /// Push slots (pages and padding) carried by each channel so far.
-    push_counts: Vec<u64>,
-    /// Push slots carried overall (the share denominator).
-    push_total: u64,
-    /// One `broadcast.ch<k>.share` timeline per channel.
-    share: Vec<Timeline>,
+    /// Push slots (pages and padding) carried by each channel, with one
+    /// `broadcast.ch<k>.share` timeline per channel.
+    share: PushShare,
     /// One `fault.ch<k>.state` timeline per channel (0 clear / 1 browned
     /// out); empty when no channel-fault layer is configured.
     fault_state: Vec<Timeline>,
 }
 
-/// Running per-disk push-slot counters with one cumulative-share timeline
-/// per broadcast disk.
+/// Running push-slot counters over `n` buckets (channels or disks) with
+/// one cumulative-share timeline per bucket.
 #[derive(Debug, Clone)]
-struct DiskShare {
-    /// Push slots charged to each disk so far.
+struct PushShare {
+    /// Push slots charged to each bucket so far.
     counts: Vec<u64>,
     /// Push slots charged overall (the denominator).
     total: u64,
-    /// One `broadcast.disk<k>.share` timeline per disk.
+    /// One share timeline per bucket.
     timelines: Vec<Timeline>,
 }
 
+impl PushShare {
+    fn new(n: usize, stride: f64) -> Self {
+        PushShare {
+            counts: vec![0; n],
+            total: 0,
+            timelines: vec![Timeline::new(stride); n],
+        }
+    }
+
+    /// Charge one push slot to bucket `i`.
+    fn charge(&mut self, i: usize) {
+        if let Some(n) = self.counts.get_mut(i) {
+            *n += 1;
+            self.total += 1;
+        }
+    }
+
+    /// Sample every bucket's cumulative share. Nothing is recorded before
+    /// the first push slot (no denominator).
+    fn sample(&mut self, now: f64) {
+        if self.total > 0 {
+            for (tl, &n) in self.timelines.iter_mut().zip(&self.counts) {
+                tl.update(now, n as f64 / self.total as f64);
+            }
+        }
+    }
+}
+
 impl ObsState {
+    /// Structured trace events retained (the most recent ones).
+    const TRACE_CAPACITY: usize = 256;
+
     pub(crate) fn new(cfg: ObsConfig) -> Self {
         ObsState {
             cfg,
             queue_depth: Timeline::new(cfg.timeline_stride),
             pull_wait: Welford::new(),
-            trace: TraceRing::new(cfg.trace_capacity as usize),
+            trace: TraceRing::new(Self::TRACE_CAPACITY),
             vc_requests_sent: 0,
             vc_requests_filtered: 0,
             fleet_hit_rate: None,
-            mc_hit_rate: None,
             fault_state: None,
             disk_share: None,
             channels: None,
@@ -98,9 +122,7 @@ impl ObsState {
     pub(crate) fn enable_channels(&mut self, num: usize, with_fault_state: bool) {
         self.channels = Some(ChannelObs {
             depth: vec![Timeline::new(self.cfg.timeline_stride); num],
-            push_counts: vec![0; num],
-            push_total: 0,
-            share: vec![Timeline::new(self.cfg.timeline_stride); num],
+            share: PushShare::new(num, self.cfg.timeline_stride),
             fault_state: if with_fault_state {
                 vec![Timeline::new(self.cfg.timeline_stride); num]
             } else {
@@ -118,25 +140,25 @@ impl ObsState {
         }
     }
 
-    /// Charge one push slot (page or padding) to channel `k`.
-    pub(crate) fn on_push_slot_channel(&mut self, k: usize) {
+    /// Charge one push slot (page or padding) to channel `k` and to
+    /// `disk`.
+    pub(crate) fn on_push_slot(&mut self, k: usize, disk: usize) {
         if let Some(ch) = &mut self.channels {
-            if k < ch.push_counts.len() {
-                ch.push_counts[k] += 1;
-                ch.push_total += 1;
-            }
+            ch.share.charge(k);
+        }
+        if let Some(ds) = &mut self.disk_share {
+            ds.charge(disk);
         }
     }
 
-    /// Sample every channel's cumulative push-slot share at a slot
-    /// boundary. Nothing is recorded before the first push slot.
-    pub(crate) fn on_slot_channel_share(&mut self, now: f64) {
+    /// Sample every channel's and every disk's cumulative push-slot share
+    /// at a slot boundary.
+    pub(crate) fn on_slot_share(&mut self, now: f64) {
         if let Some(ch) = &mut self.channels {
-            if ch.push_total > 0 {
-                for (tl, &n) in ch.share.iter_mut().zip(&ch.push_counts) {
-                    tl.update(now, n as f64 / ch.push_total as f64);
-                }
-            }
+            ch.share.sample(now);
+        }
+        if let Some(ds) = &mut self.disk_share {
+            ds.sample(now);
         }
     }
 
@@ -155,11 +177,6 @@ impl ObsState {
         self.fleet_hit_rate = Some(Timeline::new(self.cfg.timeline_stride));
     }
 
-    /// Start the MC hit-rate timeline (`mc_hit_rate` knob only).
-    pub(crate) fn enable_mc_hit_rate(&mut self) {
-        self.mc_hit_rate = Some(Timeline::new(self.cfg.timeline_stride));
-    }
-
     /// Start the server-availability timeline (crash domain only).
     pub(crate) fn enable_fault_state(&mut self) {
         self.fault_state = Some(Timeline::new(self.cfg.timeline_stride));
@@ -167,45 +184,12 @@ impl ObsState {
 
     /// Start the per-disk slot-mix timelines (`disk_share` knob only).
     pub(crate) fn enable_disk_share(&mut self, num_disks: usize) {
-        self.disk_share = Some(DiskShare {
-            counts: vec![0; num_disks],
-            total: 0,
-            timelines: vec![Timeline::new(self.cfg.timeline_stride); num_disks],
-        });
-    }
-
-    /// Charge one push slot (page or padding) to `disk`.
-    pub(crate) fn on_push_slot_disk(&mut self, disk: usize) {
-        if let Some(ds) = &mut self.disk_share {
-            if disk < ds.counts.len() {
-                ds.counts[disk] += 1;
-                ds.total += 1;
-            }
-        }
-    }
-
-    /// Sample every disk's cumulative slot share at a slot boundary.
-    /// Nothing is recorded before the first push slot (no denominator).
-    pub(crate) fn on_slot_disk_share(&mut self, now: f64) {
-        if let Some(ds) = &mut self.disk_share {
-            if ds.total > 0 {
-                for (tl, &n) in ds.timelines.iter_mut().zip(&ds.counts) {
-                    tl.update(now, n as f64 / ds.total as f64);
-                }
-            }
-        }
+        self.disk_share = Some(PushShare::new(num_disks, self.cfg.timeline_stride));
     }
 
     /// Sample the fleet's cumulative hit rate at a slot boundary.
     pub(crate) fn on_slot_fleet(&mut self, now: f64, hit_rate: f64) {
         if let Some(tl) = &mut self.fleet_hit_rate {
-            tl.update(now, hit_rate);
-        }
-    }
-
-    /// Sample the MC's cumulative cache hit rate at a slot boundary.
-    pub(crate) fn on_slot_mc_hit_rate(&mut self, now: f64, hit_rate: f64) {
-        if let Some(tl) = &mut self.mc_hit_rate {
             tl.update(now, hit_rate);
         }
     }
@@ -238,9 +222,6 @@ impl ObsState {
         if let Some(tl) = &self.fleet_hit_rate {
             report.add_timeline("client.fleet.hit_rate", tl.sealed(t_end));
         }
-        if let Some(tl) = &self.mc_hit_rate {
-            report.add_timeline("client.mc.hit_rate", tl.sealed(t_end));
-        }
         if let Some(tl) = &self.fault_state {
             report.add_timeline("fault.state", tl.sealed(t_end));
         }
@@ -253,7 +234,7 @@ impl ObsState {
             for (k, tl) in ch.depth.iter().enumerate() {
                 report.add_timeline(&format!("server.ch{k}.queue_depth"), tl.sealed(t_end));
             }
-            for (k, tl) in ch.share.iter().enumerate() {
+            for (k, tl) in ch.share.timelines.iter().enumerate() {
                 report.add_timeline(&format!("broadcast.ch{k}.share"), tl.sealed(t_end));
             }
             for (k, tl) in ch.fault_state.iter().enumerate() {

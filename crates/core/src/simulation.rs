@@ -159,7 +159,6 @@ pub enum Phase {
 #[derive(Debug, Clone)]
 struct UpdateProcess {
     rate: f64,
-    correlation: f64,
     next_at: Time,
     sampler: bpp_workload::AliasTable,
     rng: Xoshiro256pp,
@@ -172,14 +171,7 @@ struct UpdateProcess {
 impl UpdateProcess {
     fn drain(&mut self, until: Time, mc: &mut MeasuredClient) {
         while self.next_at < until {
-            let db = self.sampler.len();
-            let item = if self.correlation >= 1.0
-                || (self.correlation > 0.0 && self.rng.random::<f64>() < self.correlation)
-            {
-                self.sampler.sample(&mut self.rng)
-            } else {
-                self.rng.random_range(0..db)
-            };
+            let item = self.sampler.sample(&mut self.rng);
             self.count += 1;
             if mc.invalidate(PageId(item as u32)) {
                 self.mc_invalidations += 1;
@@ -247,8 +239,6 @@ fn reconnect_delay(base: f64, delivery: Delivery, jitter: f64, rng: &mut Xoshiro
 #[derive(Debug, Clone)]
 struct CrashState {
     cfg: CrashConfig,
-    /// Exponential inter-crash draws; `None` under an explicit schedule.
-    rng: Option<Xoshiro256pp>,
     /// Remaining explicit crash times (absolute, ascending).
     schedule: std::collections::VecDeque<f64>,
     next_crash_at: f64,
@@ -278,16 +268,11 @@ impl CrashState {
     /// Smoothing factor of the recovery detector's response EWMA.
     const RESPONSE_SMOOTHING: f64 = 0.1;
 
-    fn new(cfg: CrashConfig, seed: u64) -> Self {
-        let mut rng = (cfg.mtbf > 0.0).then(|| stream_rng(seed, Stream::Crash));
+    fn new(cfg: CrashConfig) -> Self {
         let mut schedule: std::collections::VecDeque<f64> = cfg.schedule.iter().copied().collect();
-        let next_crash_at = match &mut rng {
-            Some(r) => Self::draw_interval(cfg.mtbf, r),
-            None => schedule.pop_front().unwrap_or(f64::INFINITY),
-        };
+        let next_crash_at = schedule.pop_front().unwrap_or(f64::INFINITY);
         CrashState {
             cfg,
-            rng,
             schedule,
             next_crash_at,
             down: false,
@@ -308,24 +293,15 @@ impl CrashState {
         }
     }
 
-    fn draw_interval(mtbf: f64, rng: &mut Xoshiro256pp) -> f64 {
-        let u: f64 = rng.random();
-        -mtbf * (1.0 - u).ln()
-    }
-
-    /// Arm the next crash after a restart at `now`. MTBF is measured
-    /// restart-to-crash; explicit schedule entries that fell inside the
-    /// downtime are skipped (the server was already dead).
+    /// Arm the next crash after a restart at `now`. Schedule entries that
+    /// fell inside the downtime are skipped (the server was already dead).
     fn schedule_next(&mut self, now: f64) {
-        self.next_crash_at = match &mut self.rng {
-            Some(r) => now + Self::draw_interval(self.cfg.mtbf, r),
-            None => loop {
-                match self.schedule.pop_front() {
-                    Some(t) if t <= now => continue,
-                    Some(t) => break t,
-                    None => break f64::INFINITY,
-                }
-            },
+        self.next_crash_at = loop {
+            match self.schedule.pop_front() {
+                Some(t) if t <= now => continue,
+                Some(t) => break t,
+                None => break f64::INFINITY,
+            }
         };
     }
 }
@@ -489,11 +465,11 @@ impl World {
             }
             CachePolicy::Lru => (
                 Box::new(LruCache::new(cfg.cache_size)),
-                top_by_prob(&mc_pattern, cfg.cache_size),
+                mc_pattern.top_items(cfg.cache_size),
             ),
             CachePolicy::Lfu => (
                 Box::new(LfuCache::new(cfg.cache_size)),
-                top_by_prob(&mc_pattern, cfg.cache_size),
+                mc_pattern.top_items(cfg.cache_size),
             ),
         };
 
@@ -615,7 +591,6 @@ impl World {
             prefetch: cfg.mc_prefetch,
             updates: (cfg.update_rate > 0.0).then(|| UpdateProcess {
                 rate: cfg.update_rate,
-                correlation: cfg.update_access_correlation,
                 next_at: 0.0,
                 sampler: bpp_workload::AliasTable::new(
                     Zipf::new(cfg.db_size, cfg.zipf_theta).probs(),
@@ -664,9 +639,6 @@ impl World {
                 if fleet_active {
                     o.enable_fleet();
                 }
-                if cfg.obs.mc_hit_rate {
-                    o.enable_mc_hit_rate();
-                }
                 if cfg.obs.disk_share {
                     o.enable_disk_share(cfg.rel_freqs.len());
                 }
@@ -680,7 +652,7 @@ impl World {
                 }
                 o
             }),
-            crash: crash_active.then(|| CrashState::new(fault_cfg.crash.clone(), cfg.seed)),
+            crash: crash_active.then(|| CrashState::new(fault_cfg.crash.clone())),
             admission: fault_cfg
                 .admission
                 .enabled()
@@ -1278,8 +1250,7 @@ impl World {
         };
         obs.on_slot(now, self.shards.iter().map(|s| s.queue.len()).sum());
         obs.on_slot_channel_depths(now, self.shards.iter().map(|s| s.queue.len()));
-        obs.on_slot_channel_share(now);
-        obs.on_slot_disk_share(now);
+        obs.on_slot_share(now);
         if let Some(f) = &self.fault {
             obs.on_slot_channel_fault(
                 now,
@@ -1291,7 +1262,6 @@ impl World {
         if let Some(fleet) = &self.fleet {
             obs.on_slot_fleet(now, fleet.stats().hit_rate());
         }
-        obs.on_slot_mc_hit_rate(now, self.mc.stats().hit_rate());
         if let Some(c) = &self.crash {
             let state = if c.down {
                 1.0
@@ -1408,8 +1378,7 @@ impl World {
                             // Padding slots too: they are bandwidth charged
                             // to the channel and disk whose chunking
                             // produced them.
-                            obs.on_push_slot_channel(k);
-                            obs.on_push_slot_disk(program.disk_of_slot(cursor));
+                            obs.on_push_slot(k, program.disk_of_slot(cursor));
                         }
                         match program.slot(cursor) {
                             Slot::Page(p) => {
@@ -1627,10 +1596,6 @@ fn brownout_shifts(num_channels: usize, period: f64) -> Vec<f64> {
     (0..num_channels)
         .map(|k| ((num_channels - k) % num_channels) as f64 * period / num_channels as f64)
         .collect()
-}
-
-fn top_by_prob(pattern: &AccessPattern, k: usize) -> Vec<usize> {
-    pattern.top_items(k)
 }
 
 impl Model for World {
@@ -1996,22 +1961,6 @@ mod tests {
             read_only <= moderate,
             "read-only {read_only} is the floor, moderate {moderate}"
         );
-    }
-
-    #[test]
-    fn uniform_updates_hit_cold_pages_too() {
-        let proto = MeasurementProtocol::quick();
-        let mut cfg = quick_cfg(Algorithm::PurePush);
-        cfg.update_rate = 0.5;
-        cfg.update_access_correlation = 0.0;
-        let mut engine = World::steady_state(&cfg, &proto).into_engine();
-        engine.run_while(|w| !w.done());
-        let (updates, invals) = engine.model().update_stats();
-        assert!(updates > 0);
-        // Uniform updates mostly miss the (hot) cache: invalidation share
-        // roughly tracks cache_size/db_size.
-        let share = invals as f64 / updates as f64;
-        assert!(share < 0.35, "invalidation share {share}");
     }
 
     #[test]

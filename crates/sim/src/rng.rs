@@ -173,14 +173,12 @@ impl Rng for Xoshiro256pp {
 /// | 6  | `FaultReq`  | fault model, backchannel            | `request_loss > 0`    |
 /// | 7  | `Retry`     | `bpp_client::retry` jitter          | `jitter > 0`          |
 /// | 8  | `Fleet`     | `bpp_client::arena` client fleet    | `population` = fleet  |
-/// | 9  | `Crash`     | crash model, MTBF inter-crash draws | `crash.mtbf > 0`      |
 ///
 /// Streams 0–4 are golden-pinned from the base system; 5–7 belong to the
 /// fault model and are seeded only when the corresponding knob is enabled;
 /// 8 belongs to the million-client extension and is drawn only when
-/// `population` selects a real fleet; 9 belongs to the crash–recovery
-/// domain and is seeded only when `crash.mtbf > 0` (an explicit crash
-/// schedule draws nothing).
+/// `population` selects a real fleet. The crash–recovery domain draws
+/// nothing: its crash times are an explicit schedule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u64)]
 pub enum Stream {
@@ -209,10 +207,6 @@ pub enum Stream {
     /// access draws and retry jitter of every fleet client, drawn only
     /// when `population` selects a real fleet (`fleet_clients > 0`).
     Fleet = 8,
-    /// 9 — crash model: exponential inter-crash draws, one per crash,
-    /// seeded and drawn only when `crash.mtbf > 0` (explicit schedules
-    /// are deterministic and draw nothing).
-    Crash = 9,
 }
 
 /// Derive the independent generator of registry stream `stream` under

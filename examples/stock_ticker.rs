@@ -11,7 +11,7 @@
 //! cargo run --release -p bpp-core --example stock_ticker
 //! ```
 
-use bpp_core::adaptive::{run_adaptive, AdaptiveConfig};
+use bpp_core::adaptive::{run_adaptive, DEFAULT_INTERVAL};
 use bpp_core::{run_steady_state, Algorithm, MeasurementProtocol, SystemConfig};
 
 fn ticker_config(ttr: f64) -> SystemConfig {
@@ -53,7 +53,7 @@ fn main() {
         let mut cfg = ticker_config(ttr);
         cfg.pull_bw = 0.5;
         cfg.thres_perc = 0.0;
-        let r = run_adaptive(&cfg, &proto, AdaptiveConfig::default());
+        let r = run_adaptive(&cfg, &proto, DEFAULT_INTERVAL);
         row.push_str(&format!(" {:>12.1}", r.steady.mean_response));
         finals.push((r.final_pull_bw, r.final_thres_perc, r.adjustments));
     }

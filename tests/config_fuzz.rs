@@ -100,8 +100,6 @@ fn gen_config(case: u64) -> SystemConfig {
     let obs = ObsConfig {
         enabled: rng.random_bool(0.5),
         timeline_stride: 1.0 + rng.random::<f64>() * 199.0,
-        trace_capacity: rng.random_range(0..128) as u64,
-        mc_hit_rate: rng.random_bool(0.5),
         disk_share: rng.random_bool(0.5),
     };
 
@@ -140,7 +138,6 @@ fn gen_config(case: u64) -> SystemConfig {
         queue_discipline: disc,
         mc_prefetch: pf,
         update_rate: upd,
-        update_access_correlation: 0.5,
         seed,
         num_channels,
         fault,
@@ -149,23 +146,22 @@ fn gen_config(case: u64) -> SystemConfig {
     }
 }
 
-/// Crash model: a third of the draws never crash, a third crash at
-/// exponential intervals (`mtbf`), a third on an explicit schedule.
+/// Crash model: a third of the draws never crash, a third crash at a
+/// random period from a random start, a third on an uneven schedule.
 fn gen_crash(rng: &mut impl Rng) -> CrashConfig {
     let mode = rng.random_range(0..3);
     let first = rng.random::<f64>() * 2000.0;
+    let schedule = match mode {
+        1 => {
+            let period = 500.0 + rng.random::<f64>() * 5000.0;
+            (0..4).map(|i| first + f64::from(i) * period).collect()
+        }
+        2 => vec![first, first + 1000.0, first + 5000.0],
+        _ => Vec::new(),
+    };
     CrashConfig {
-        mtbf: if mode == 1 {
-            500.0 + rng.random::<f64>() * 5000.0
-        } else {
-            0.0
-        },
         downtime: 1.0 + rng.random::<f64>() * 100.0,
-        schedule: if mode == 2 {
-            vec![first, first + 1000.0, first + 5000.0]
-        } else {
-            Vec::new()
-        },
+        schedule,
         reconnect_jitter: rng.random::<f64>(),
         recovery_epsilon: rng.random::<f64>() * 0.2,
     }

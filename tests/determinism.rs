@@ -3,7 +3,7 @@
 
 #![expect(clippy::float_cmp, reason = "tests pin exact values")]
 
-use bpp_core::adaptive::{run_adaptive, AdaptiveConfig};
+use bpp_core::adaptive::{run_adaptive, DEFAULT_INTERVAL};
 use bpp_core::experiments::{derive_seed, fig4, par_run};
 use bpp_core::{run_steady_state, run_warmup, Algorithm, MeasurementProtocol, SystemConfig};
 
@@ -38,9 +38,8 @@ fn warmup_is_deterministic() {
 #[test]
 fn adaptive_is_deterministic() {
     let proto = MeasurementProtocol::quick();
-    let ac = AdaptiveConfig::default();
-    let a = run_adaptive(&cfg(Algorithm::Ipp, 3), &proto, ac);
-    let b = run_adaptive(&cfg(Algorithm::Ipp, 3), &proto, ac);
+    let a = run_adaptive(&cfg(Algorithm::Ipp, 3), &proto, DEFAULT_INTERVAL);
+    let b = run_adaptive(&cfg(Algorithm::Ipp, 3), &proto, DEFAULT_INTERVAL);
     assert_eq!(a.steady.mean_response, b.steady.mean_response);
     assert_eq!(a.final_pull_bw, b.final_pull_bw);
     assert_eq!(a.adjustments, b.adjustments);
